@@ -146,7 +146,7 @@ def test_strategy_arena_quality_vs_cost():
         )
         emit(f"(matches committed {BENCH_JSON})")
     else:
-        result.write_json(BENCH_JSON)
+        result.save(BENCH_JSON)
         emit(f"(written to {BENCH_JSON})")
 
     # The paper's claim in miniature: greedy bottleneck alleviation is

@@ -95,7 +95,7 @@ def main():
             )
     finally:
         sink.close()
-    result.write_json(report_path)
+    result.save(report_path)
 
     problems = []
     for outcome in result.outcomes:

@@ -107,7 +107,7 @@ def main():
     # Replay churn while the first requests are in flight.
     churn_acks = []
     for event in timeline.events:
-        code, body = post(port, "/churn", event.to_dict(), timeout=30)
+        code, body = post(port, "/churn", event.to_json(), timeout=30)
         churn_acks.append((code, body))
         if code != 200:
             problems.append(

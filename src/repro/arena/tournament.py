@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..ioutil import write_json_atomic
+from ..codec import Record, Version, json_field
 from ..ir.graph import OpGraph
 from ..parallel.initializer import balanced_config
 from ..perfmodel.model import PerfModel
@@ -52,7 +52,7 @@ ENTRY_KILL_GRACE = 1.0
 
 
 @dataclass(frozen=True)
-class ArenaEntry:
+class ArenaEntry(Record):
     """One tournament lane: a strategy, its seed, and extra kwargs.
 
     ``strategy_kwargs`` must *not* repeat ``seed`` — the entry's
@@ -61,35 +61,20 @@ class ArenaEntry:
 
     strategy: str
     seed: int = 0
-    strategy_kwargs: Optional[dict] = None
+    strategy_kwargs: dict = field(default_factory=dict)
 
     @property
     def name(self) -> str:
         return f"{self.strategy}#{self.seed}"
 
     def options(self):
-        kwargs = dict(self.strategy_kwargs or {})
+        kwargs = dict(self.strategy_kwargs)
         kwargs["seed"] = self.seed
         return build_options(self.strategy, kwargs)
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "strategy_kwargs": dict(self.strategy_kwargs or {}),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArenaEntry":
-        return cls(
-            strategy=data["strategy"],
-            seed=int(data.get("seed", 0)),
-            strategy_kwargs=dict(data.get("strategy_kwargs", {})) or None,
-        )
-
 
 @dataclass
-class EntryOutcome:
+class EntryOutcome(Record):
     """What one lane reported (or how it failed).
 
     ``curve`` is the deterministic quality-vs-cost trajectory:
@@ -115,52 +100,30 @@ class EntryOutcome:
     def failed(self) -> bool:
         return self.error is not None
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "best_objective": self.best_objective,
-            "feasible": self.feasible,
-            "partial": self.partial,
-            "converged": self.converged,
-            "num_estimates": self.num_estimates,
-            "estimates_to_best": self.estimates_to_best,
-            "iterations": self.iterations,
-            "elapsed_seconds": self.elapsed_seconds,
-            "best_signature": self.best_signature,
-            "curve": [list(point) for point in self.curve],
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EntryOutcome":
-        return cls(
-            strategy=data["strategy"],
-            seed=int(data.get("seed", 0)),
-            best_objective=data.get("best_objective"),
-            feasible=bool(data.get("feasible", False)),
-            partial=bool(data.get("partial", False)),
-            converged=bool(data.get("converged", False)),
-            num_estimates=int(data.get("num_estimates", 0)),
-            estimates_to_best=int(data.get("estimates_to_best", 0)),
-            iterations=int(data.get("iterations", 0)),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            best_signature=str(data.get("best_signature", "")),
-            curve=[list(point) for point in data.get("curve", [])],
-            error=data.get("error"),
-        )
-
 
 @dataclass
-class TournamentResult:
-    """Everything one tournament produced, JSON round-trippable."""
+class TournamentResult(Record):
+    """Everything one tournament produced, JSON round-trippable.
+
+    The JSON form lists the outcomes under ``entries`` and adds the
+    winner's strategy name under ``winner`` (output only).
+    """
 
     label: str
     stage_count: int
     budget: dict
     deadline_seconds: Optional[float]
-    outcomes: List[EntryOutcome] = field(default_factory=list)
+    outcomes: List[EntryOutcome] = json_field(
+        default_factory=list, key="entries"
+    )
     wall_seconds: float = 0.0
+
+    json_version = Version("format_version", TOURNAMENT_FORMAT_VERSION)
+    json_derived = {
+        "winner": lambda result: (
+            result.winner.strategy if result.winner is not None else None
+        ),
+    }
 
     @property
     def winner(self) -> Optional[EntryOutcome]:
@@ -183,38 +146,6 @@ class TournamentResult:
         if not lanes:
             return None
         return min(lanes, key=lambda o: (not o.feasible, o.best_objective))
-
-    def to_json(self) -> dict:
-        winner = self.winner
-        return {
-            "format_version": TOURNAMENT_FORMAT_VERSION,
-            "label": self.label,
-            "stage_count": self.stage_count,
-            "budget": dict(self.budget),
-            "deadline_seconds": self.deadline_seconds,
-            "entries": [o.to_json() for o in self.outcomes],
-            "winner": winner.strategy if winner is not None else None,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TournamentResult":
-        result = cls(
-            label=str(data.get("label", "")),
-            stage_count=int(data["stage_count"]),
-            budget=dict(data["budget"]),
-            deadline_seconds=data.get("deadline_seconds"),
-            outcomes=[
-                EntryOutcome.from_json(entry)
-                for entry in data.get("entries", [])
-            ],
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-        )
-        return result
-
-    def write_json(self, path) -> None:
-        """Atomic write, matching the repo's artifact conventions."""
-        write_json_atomic(path, self.to_json())
 
 
 def _outcome_from_result(

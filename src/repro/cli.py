@@ -22,6 +22,7 @@ from typing import Iterator, List, Optional, Sequence
 from .analysis.compare import compare_systems
 from .analysis.metrics import tflops_per_gpu
 from .cluster.topology import paper_cluster
+from .codec import CodecError
 from .core.search import SearchFailedError, search_all_stage_counts
 from .core.searcher import StrategyError, available_strategies
 from .ir.models.registry import available_models, build_model
@@ -449,7 +450,14 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
 
     graph = build_model(args.model)
     cluster = paper_cluster(args.gpus)
-    config = load_config(args.plan)
+    try:
+        config = load_config(args.plan)
+    except CodecError as exc:
+        print(
+            f"repro-estimate: cannot load plan: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     validate_config(config, graph, cluster)
     fault_plan = None
     if args.fault_plan:
@@ -457,10 +465,9 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
 
         try:
             fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except CodecError as exc:
             print(
-                f"repro-estimate: cannot load fault plan "
-                f"{args.fault_plan}: {exc}",
+                f"repro-estimate: cannot load fault plan: {exc}",
                 file=sys.stderr,
             )
             return 1
@@ -686,15 +693,15 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
                 f"to {args.output}"
             )
         else:
-            print(json.dumps(timeline.to_dict(), indent=2))
+            print(json.dumps(timeline.to_json(), indent=2))
         return 0
 
     if args.timeline:
         try:
             timeline = ChurnTimeline.load(args.timeline)
-        except (OSError, ValueError, KeyError) as exc:
+        except CodecError as exc:
             print(
-                f"repro-elastic: cannot load {args.timeline}: {exc}",
+                f"repro-elastic: cannot load timeline: {exc}",
                 file=sys.stderr,
             )
             return 2
@@ -729,9 +736,9 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
         from pathlib import Path
 
         Path(args.output).write_text(
-            json.dumps(run.to_dict(), indent=2)
+            json.dumps(run.to_json(), indent=2)
         )
-    _emit_output(args, run.to_dict(), _controller_lines(args, run))
+    _emit_output(args, run.to_json(), _controller_lines(args, run))
     return 0
 
 
@@ -782,10 +789,9 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
 
         try:
             timeline = ChurnTimeline.load(args.churn_timeline)
-        except (OSError, ValueError, KeyError) as exc:
+        except CodecError as exc:
             print(
-                f"repro-replan: cannot load churn timeline "
-                f"{args.churn_timeline}: {exc}",
+                f"repro-replan: cannot load churn timeline: {exc}",
                 file=sys.stderr,
             )
             return 2
@@ -795,7 +801,7 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
             run = _run_controller(
                 graph, cluster, timeline, args.seed, args.iterations
             )
-        _emit_output(args, run.to_dict(), _controller_lines(args, run))
+        _emit_output(args, run.to_json(), _controller_lines(args, run))
         return 0
 
     if not 0 <= args.fail_device < args.gpus:
@@ -1023,7 +1029,7 @@ def arena_main(argv: Optional[List[str]] = None) -> int:
             label=label,
         )
     if args.output:
-        result.write_json(args.output)
+        result.save(args.output)
     payload = result.to_json()
     if args.output:
         payload["output"] = args.output

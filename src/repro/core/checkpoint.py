@@ -12,60 +12,79 @@ count, so a crash between writes costs at most one stage count of work.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..codec import CodecError, Version, encode, load
 from ..ioutil import write_json_atomic
-from ..parallel.serialization import config_from_dict, config_to_dict
+from ..parallel.config import ParallelConfig
 
 #: Format marker so future layout changes stay loadable.
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(CodecError):
     """A checkpoint file is unreadable or belongs to another search."""
 
 
-def _result_to_dict(result) -> dict:
-    """Serialize a :class:`repro.core.search.SearchResult`."""
-    return {
-        "best_config": config_to_dict(result.best_config),
-        "best_objective": result.best_objective,
-        "top_configs": [
-            {"objective": objective, "config": config_to_dict(config)}
-            for objective, config in result.top_configs
-        ],
-        "num_estimates": result.num_estimates,
-        "elapsed_seconds": result.elapsed_seconds,
-        "converged": result.converged,
-        "visited_signatures": sorted(result.visited_signatures),
-    }
+@dataclass
+class TopConfig:
+    """One entry of a stored result's top-k list."""
+
+    objective: float
+    config: ParallelConfig
 
 
-def _result_from_dict(data: dict, perf_model):
-    """Rebuild a ``SearchResult``; the report is re-derived from the
-    (deterministic) performance model, everything else is stored."""
-    from .search import SearchResult
-    from .trace import SearchTrace
+@dataclass
+class StoredResult:
+    """The persisted part of a :class:`repro.core.search.SearchResult`.
 
-    best_config = config_from_dict(data["best_config"])
-    return SearchResult(
-        best_config=best_config,
-        best_objective=float(data["best_objective"]),
-        best_report=perf_model.estimate(best_config),
-        trace=SearchTrace(),
-        top_configs=[
-            (float(entry["objective"]), config_from_dict(entry["config"]))
-            for entry in data["top_configs"]
-        ],
-        num_estimates=int(data["num_estimates"]),
-        elapsed_seconds=float(data["elapsed_seconds"]),
-        converged=bool(data["converged"]),
-        visited_signatures=tuple(data.get("visited_signatures", ())),
-    )
+    The performance report is not stored: :meth:`restore` re-derives it
+    from the (deterministic) performance model.
+    """
+
+    best_config: ParallelConfig
+    best_objective: float
+    top_configs: List[TopConfig]
+    num_estimates: int
+    elapsed_seconds: float
+    converged: bool
+    visited_signatures: List[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, result) -> "StoredResult":
+        return cls(
+            best_config=result.best_config,
+            best_objective=result.best_objective,
+            top_configs=[
+                TopConfig(objective, config)
+                for objective, config in result.top_configs
+            ],
+            num_estimates=result.num_estimates,
+            elapsed_seconds=result.elapsed_seconds,
+            converged=result.converged,
+            visited_signatures=sorted(result.visited_signatures),
+        )
+
+    def restore(self, perf_model):
+        from .search import SearchResult
+        from .trace import SearchTrace
+
+        return SearchResult(
+            best_config=self.best_config,
+            best_objective=self.best_objective,
+            best_report=perf_model.estimate(self.best_config),
+            trace=SearchTrace(),
+            top_configs=[
+                (top.objective, top.config) for top in self.top_configs
+            ],
+            num_estimates=self.num_estimates,
+            elapsed_seconds=self.elapsed_seconds,
+            converged=self.converged,
+            visited_signatures=tuple(self.visited_signatures),
+        )
 
 
 @dataclass
@@ -75,9 +94,13 @@ class SearchCheckpoint:
     stage_counts: List[int]
     budget_kwargs: dict
     context: dict = field(default_factory=dict)
-    completed: Dict[int, dict] = field(default_factory=dict)
+    completed: Dict[int, StoredResult] = field(default_factory=dict)
     failures: List[dict] = field(default_factory=list)
-    path: Optional[Path] = None
+    #: Where the checkpoint lives; not part of its JSON form.
+    path: Optional[Path] = field(default=None, init=False)
+
+    json_version = Version("format_version", CHECKPOINT_FORMAT_VERSION)
+    json_error = CheckpointError
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -90,48 +113,19 @@ class SearchCheckpoint:
         context: dict,
         path: Union[str, Path],
     ) -> "SearchCheckpoint":
-        return cls(
+        checkpoint = cls(
             stage_counts=list(stage_counts),
             budget_kwargs=dict(budget_kwargs),
             context=dict(context),
-            path=Path(path),
         )
+        checkpoint.path = Path(path)
+        return checkpoint
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SearchCheckpoint":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read search checkpoint {path}: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(
-                f"search checkpoint {path} is not a JSON object"
-            )
-        version = data.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format version: {version!r} "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})"
-            )
-        try:
-            return cls(
-                stage_counts=[int(c) for c in data["stage_counts"]],
-                budget_kwargs=data["budget_kwargs"],
-                context=data.get("context", {}),
-                completed={
-                    int(count): payload
-                    for count, payload in data.get("completed", {}).items()
-                },
-                failures=list(data.get("failures", [])),
-                path=Path(path),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CheckpointError(
-                f"search checkpoint {path} is malformed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+        checkpoint = load(cls, path)
+        checkpoint.path = Path(path)
+        return checkpoint
 
     @classmethod
     def load_or_quarantine(
@@ -178,17 +172,7 @@ class SearchCheckpoint:
         corrupts the previous checkpoint."""
         if self.path is None:
             raise CheckpointError("checkpoint has no path to save to")
-        payload = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "stage_counts": self.stage_counts,
-            "budget_kwargs": self.budget_kwargs,
-            "context": self.context,
-            "completed": {
-                str(count): data for count, data in self.completed.items()
-            },
-            "failures": self.failures,
-        }
-        write_json_atomic(self.path, payload)
+        write_json_atomic(self.path, encode(self))
 
     # ------------------------------------------------------------------
     # compatibility
@@ -221,7 +205,7 @@ class SearchCheckpoint:
     # ------------------------------------------------------------------
     def record_run(self, run) -> None:
         """Store one completed ``StageCountResult`` and persist."""
-        self.completed[run.num_stages] = _result_to_dict(run.result)
+        self.completed[run.num_stages] = StoredResult.of(run.result)
         # A later success supersedes any earlier failure record.
         self.failures = [
             f for f in self.failures if f.get("num_stages") != run.num_stages
@@ -251,7 +235,7 @@ class SearchCheckpoint:
         return [
             StageCountResult(
                 num_stages=count,
-                result=_result_from_dict(self.completed[count], perf_model),
+                result=self.completed[count].restore(perf_model),
             )
             for count in sorted(self.completed)
         ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..codec import Record
 from ..telemetry.events import SEARCH_BEGIN, SEARCH_ITERATION
 
 
@@ -28,8 +29,10 @@ class IterationRecord:
 
 
 @dataclass
-class SearchTrace:
-    """Accumulated per-iteration records plus the convergence curve."""
+class SearchTrace(Record):
+    """Accumulated per-iteration records plus the convergence curve
+    (a codec record, exported for offline analysis of search
+    behaviour)."""
 
     records: List[IterationRecord] = field(default_factory=list)
     convergence: List[Tuple[float, float]] = field(default_factory=list)
@@ -99,37 +102,6 @@ class SearchTrace:
         if total == 0:
             return 0.0
         return sum(v for k, v in histogram.items() if k > 1) / total
-
-    # ------------------------------------------------------------------
-    # persistence (for offline analysis of search behaviour)
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        """Plain-python representation of the full trace."""
-        return {
-            "records": [
-                {
-                    "index": r.index,
-                    "elapsed": r.elapsed,
-                    "bottlenecks_tried": r.bottlenecks_tried,
-                    "hops_used": r.hops_used,
-                    "improved": r.improved,
-                    "objective": r.objective,
-                    "best_objective": r.best_objective,
-                }
-                for r in self.records
-            ],
-            "convergence": [list(point) for point in self.convergence],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SearchTrace":
-        """Inverse of :meth:`to_json`."""
-        trace = cls()
-        trace.records = [
-            IterationRecord(**record) for record in data["records"]
-        ]
-        trace.convergence = [tuple(p) for p in data["convergence"]]
-        return trace
 
     # ------------------------------------------------------------------
     # reconstruction from the telemetry event stream

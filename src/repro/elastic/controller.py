@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
+from ..codec import Record
 from ..core.budget import Deadline, SearchBudget
 from ..core.search import AcesoSearch, AcesoSearchOptions
 from ..faults.inject import (
@@ -108,7 +109,7 @@ class ControllerPolicy:
 
 
 @dataclass
-class Decision:
+class Decision(Record):
     """One controller decision for a debounced batch of churn events."""
 
     index: int
@@ -129,28 +130,9 @@ class Decision:
     #: excluded from the replay fingerprint.
     replan_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "time": self.time,
-            "events": list(self.events),
-            "action": self.action,
-            "reason": self.reason,
-            "cluster_gpus": self.cluster_gpus,
-            "estimated_loss": self.estimated_loss,
-            "objective_before": self.objective_before,
-            "objective_after": self.objective_after,
-            "plan_signature": self.plan_signature,
-            "feasible": self.feasible,
-            "num_estimates": self.num_estimates,
-            "fallback_rung": self.fallback_rung,
-            "throughput": self.throughput,
-            "replan_seconds": self.replan_seconds,
-        }
-
     def replay_fingerprint(self) -> dict:
         """The decision minus wall-clock fields (bit-reproducible)."""
-        data = self.to_dict()
+        data = self.to_json()
         del data["replan_seconds"]
         return data
 
@@ -174,7 +156,8 @@ class ControllerRun:
             if d.action in ("replan", "fallback")
         )
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
+        """Output-only run report: derived keys, no ``final_config``."""
         return {
             "seed": self.seed,
             "initial_signature": self.initial_signature,
@@ -182,11 +165,11 @@ class ControllerRun:
             "final_signature": self.final_config.signature(),
             "final_feasible": self.final_feasible,
             "num_replans": self.num_replans,
-            "decisions": [d.to_dict() for d in self.decisions],
+            "decisions": [d.to_json() for d in self.decisions],
         }
 
     def replay_fingerprint(self) -> dict:
-        data = self.to_dict()
+        data = self.to_json()
         data["decisions"] = [
             d.replay_fingerprint() for d in self.decisions
         ]
@@ -606,7 +589,7 @@ class ElasticController:
                 if bus.active:
                     # ``kind`` is TelemetryBus.emit's reserved
                     # event-kind parameter; rename the churn kind.
-                    payload = event.to_dict()
+                    payload = event.to_json()
                     payload["churn_kind"] = payload.pop("kind")
                     bus.emit(
                         ELASTIC_EVENT,
@@ -623,7 +606,7 @@ class ElasticController:
                 decisions.append(Decision(
                     index=index,
                     time=now,
-                    events=[e.to_dict() for e in batch],
+                    events=[e.to_json() for e in batch],
                     action="halt",
                     reason="no_survivors",
                     cluster_gpus=0,
@@ -740,7 +723,7 @@ class ElasticController:
             decisions.append(Decision(
                 index=index,
                 time=now,
-                events=[e.to_dict() for e in batch],
+                events=[e.to_json() for e in batch],
                 action=action,
                 reason=reason,
                 cluster_gpus=view.effective.num_gpus,

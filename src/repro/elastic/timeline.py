@@ -4,7 +4,7 @@ A :class:`ChurnTimeline` is the elastic controller's input: a time-
 ordered sequence of membership events — node preemption and rejoin,
 straggler onset and recovery, link degradation and repair — plus the
 seed every downstream consumer derives determinism from.  Timelines
-round-trip through JSON (``save``/``load``) so a run can be replayed
+are codec records (``save``/``load``) so a run can be replayed
 bit-exactly from a file, and :func:`random_churn_timeline` samples
 plausible SWARM-style churn from a seed alone.
 
@@ -14,14 +14,13 @@ it against a cluster.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..codec import Record, Version, json_field
 from ..faults.plan import LINK_SCOPES
 
 #: Format marker so future layout changes stay loadable.
@@ -43,7 +42,7 @@ _LINK_KINDS = frozenset(("link_degrade", "link_repair"))
 
 
 @dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(Record):
     """One typed membership event at a point in virtual time.
 
     Exactly the payload fields its ``kind`` requires are set; the rest
@@ -52,10 +51,10 @@ class ChurnEvent:
 
     time: float
     kind: str
-    node_id: Optional[int] = None
-    device_id: Optional[int] = None
-    factor: Optional[float] = None
-    scope: Optional[str] = None
+    node_id: Optional[int] = json_field(default=None, omit_empty=True)
+    device_id: Optional[int] = json_field(default=None, omit_empty=True)
+    factor: Optional[float] = json_field(default=None, omit_empty=True)
+    scope: Optional[str] = json_field(default=None, omit_empty=True)
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -89,41 +88,12 @@ class ChurnEvent:
                     "link_degrade requires factor in (0, 1)"
                 )
 
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"time": self.time, "kind": self.kind}
-        for field in ("node_id", "device_id", "factor", "scope"):
-            value = getattr(self, field)
-            if value is not None:
-                data[field] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChurnEvent":
-        unknown = set(data) - {
-            "time", "kind", "node_id", "device_id", "factor", "scope"
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown churn event fields: {sorted(unknown)}"
-            )
-        return cls(
-            time=float(data["time"]),
-            kind=str(data["kind"]),
-            node_id=(
-                int(data["node_id"]) if "node_id" in data else None
-            ),
-            device_id=(
-                int(data["device_id"]) if "device_id" in data else None
-            ),
-            factor=(
-                float(data["factor"]) if "factor" in data else None
-            ),
-            scope=str(data["scope"]) if "scope" in data else None,
-        )
+    #: ``planbench/serve_churn.py`` posts events in this spelling.
+    to_dict = Record.to_json
 
 
 @dataclass(frozen=True)
-class ChurnTimeline:
+class ChurnTimeline(Record):
     """A seeded, time-ordered sequence of churn events.
 
     The ``(seed, events)`` pair fully determines every downstream
@@ -137,7 +107,9 @@ class ChurnTimeline:
     #: timeline only *mentions* the nodes it touches; without this the
     #: lint cannot distinguish "every node preempted" from "every node
     #: the timeline happens to mention preempted".
-    num_nodes: Optional[int] = None
+    num_nodes: Optional[int] = json_field(default=None, omit_empty=True)
+
+    json_version = Version("format_version", CHURN_FORMAT_VERSION)
 
     def __post_init__(self) -> None:
         if not isinstance(self.events, tuple):
@@ -162,47 +134,6 @@ class ChurnTimeline:
         return np.random.default_rng(
             (self.seed, zlib.crc32(key.encode("utf-8")))
         )
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        data = {
-            "format_version": CHURN_FORMAT_VERSION,
-            "seed": self.seed,
-            "events": [event.to_dict() for event in self.events],
-        }
-        if self.num_nodes is not None:
-            data["num_nodes"] = self.num_nodes
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChurnTimeline":
-        version = data.get("format_version")
-        if version != CHURN_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported churn timeline format version: "
-                f"{version!r} (expected {CHURN_FORMAT_VERSION})"
-            )
-        return cls(
-            seed=int(data.get("seed", 0)),
-            events=tuple(
-                ChurnEvent.from_dict(event)
-                for event in data.get("events", [])
-            ),
-            num_nodes=(
-                int(data["num_nodes"])
-                if data.get("num_nodes") is not None
-                else None
-            ),
-        )
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ChurnTimeline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def random_churn_timeline(

@@ -5,8 +5,8 @@ sees: a GPU drops mid-iteration, one device runs hot and slow, an
 oversubscribed IB link delivers a fraction of its nominal bandwidth, and
 the caching allocator occasionally stalls a task on a cudaMalloc retry.
 A :class:`FaultPlan` names those events explicitly, is seeded so every
-injection is reproducible bit-for-bit, and round-trips through JSON so
-a plan can be shipped to ``repro-estimate --fault-plan``.
+injection is reproducible bit-for-bit, and is a codec record so a plan
+can be shipped to ``repro-estimate --fault-plan``.
 
 The plan is pure data; :mod:`repro.faults.inject` and
 :class:`repro.runtime.executor.Executor` interpret it.
@@ -14,13 +14,13 @@ The plan is pure data; :mod:`repro.faults.inject` and
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
+
+from ..codec import Record, Version
 
 #: Format marker so future layout changes stay loadable.
 FAULT_FORMAT_VERSION = 1
@@ -97,7 +97,7 @@ class TransientOOM:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """A seeded, deterministic set of deployment faults.
 
     An empty plan (the default) injects nothing, so fault-aware code
@@ -109,6 +109,8 @@ class FaultPlan:
     stragglers: Tuple[StragglerSlowdown, ...] = ()
     link_degradations: Tuple[LinkDegradation, ...] = ()
     transient_ooms: Tuple[TransientOOM, ...] = ()
+
+    json_version = Version("format_version", FAULT_FORMAT_VERSION)
 
     def __post_init__(self) -> None:
         # Accept lists from callers / JSON and freeze them.
@@ -174,53 +176,6 @@ class FaultPlan:
         return np.random.default_rng(
             (self.seed, zlib.crc32(key.encode("utf-8")))
         )
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FAULT_FORMAT_VERSION,
-            "seed": self.seed,
-            "device_failures": [asdict(f) for f in self.device_failures],
-            "stragglers": [asdict(s) for s in self.stragglers],
-            "link_degradations": [
-                asdict(d) for d in self.link_degradations
-            ],
-            "transient_ooms": [asdict(t) for t in self.transient_ooms],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        version = data.get("format_version")
-        if version != FAULT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fault plan format version: {version!r} "
-                f"(expected {FAULT_FORMAT_VERSION})"
-            )
-        return cls(
-            seed=int(data.get("seed", 0)),
-            device_failures=tuple(
-                DeviceFailure(**f) for f in data.get("device_failures", [])
-            ),
-            stragglers=tuple(
-                StragglerSlowdown(**s) for s in data.get("stragglers", [])
-            ),
-            link_degradations=tuple(
-                LinkDegradation(**d)
-                for d in data.get("link_degradations", [])
-            ),
-            transient_ooms=tuple(
-                TransientOOM(**t) for t in data.get("transient_ooms", [])
-            ),
-        )
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "FaultPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def random_fault_plan(

@@ -23,6 +23,11 @@ import json
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
+from ..codec import CodecError, json_keys
+from ..core.checkpoint import SearchCheckpoint, StoredResult
+from ..parallel.config import ParallelConfig
+from ..parallel.stage import StageConfig
+from ..telemetry.bus import Event
 from .diagnostics import Diagnostic
 
 #: Fingerprints are the first 16 hex digits of a sha256.
@@ -31,24 +36,16 @@ _FINGERPRINT_HEX = 16
 #: Valid run-log event kinds (see ``repro.telemetry.bus``).
 _EVENT_KINDS = frozenset(("event", "span_begin", "span_end", "counter"))
 
-_PLAN_KEYS = frozenset(("format_version", "microbatch_size", "stages"))
-_STAGE_KEYS = frozenset(
-    ("start", "end", "num_devices", "tp", "dp", "tp_dim", "recompute")
-)
+_PLAN_KEYS = frozenset(json_keys(ParallelConfig))
+_STAGE_KEYS = frozenset(json_keys(StageConfig))
 _STAGE_ARRAY_KEYS = ("tp", "dp", "tp_dim", "recompute")
 _CACHE_KEYS = frozenset(("plan", "objective", "model", "gpus"))
 #: Optional cache-entry keys: allowed but not required, so entries
 #: minted before the field existed keep linting clean.
 _CACHE_OPTIONAL_KEYS = frozenset(("strategy",))
-_CHECKPOINT_KEYS = frozenset(
-    ("format_version", "stage_counts", "budget_kwargs", "context",
-     "completed", "failures")
-)
-_RESULT_KEYS = frozenset(
-    ("best_config", "best_objective", "top_configs", "num_estimates",
-     "elapsed_seconds", "converged", "visited_signatures")
-)
-_RUN_LOG_KEYS = ("name", "kind", "ts", "pid", "source", "level", "attrs")
+_CHECKPOINT_KEYS = frozenset(json_keys(SearchCheckpoint))
+_RESULT_KEYS = frozenset(json_keys(StoredResult))
+_RUN_LOG_KEYS = json_keys(Event)
 
 
 def _is_fingerprint(text: str) -> bool:
@@ -761,8 +758,8 @@ def lint_churn_timeline_file(
             ))
             continue
         try:
-            events.append(ChurnEvent.from_dict(raw))
-        except (KeyError, TypeError, ValueError) as exc:
+            events.append(ChurnEvent.from_json(raw))
+        except CodecError as exc:
             out.append(Diagnostic(
                 "ACE353",
                 f"event #{i} is invalid: {exc}",

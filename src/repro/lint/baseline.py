@@ -22,15 +22,38 @@ regenerating a baseline with no underlying change is byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
 
+from ..codec import CodecError, Version, encode, load
 from .diagnostics import Diagnostic, sorted_diagnostics
 from .source import split_location
 
 FORMAT_VERSION = 1
 
 BaselineKey = Tuple[str, str, str]
+
+
+class BaselineError(CodecError):
+    """The baseline file is unreadable or malformed."""
+
+
+@dataclass(frozen=True)
+class BaselineEntry:
+    path: str
+    code: str
+    message: str
+
+
+@dataclass
+class Baseline:
+    """The JSON form of a baseline file."""
+
+    findings: List[BaselineEntry] = field(default_factory=list)
+
+    json_version = Version("format_version", FORMAT_VERSION)
+    json_error = BaselineError
 
 
 def baseline_key(diag: Diagnostic) -> BaselineKey:
@@ -43,14 +66,10 @@ def write_baseline(
     diagnostics: Iterable[Diagnostic], path: Union[str, Path]
 ) -> Dict[str, object]:
     """Write ``path`` as the baseline for ``diagnostics``; returns the doc."""
-    entries = [
-        {"path": p, "code": c, "message": m}
-        for p, c, m in sorted(baseline_key(d) for d in diagnostics)
-    ]
-    doc: Dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "findings": entries,
-    }
+    doc = encode(Baseline([
+        BaselineEntry(*key)
+        for key in sorted(baseline_key(d) for d in diagnostics)
+    ]))
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -58,29 +77,11 @@ def write_baseline(
     return doc
 
 
-class BaselineError(ValueError):
-    """The baseline file is unreadable or malformed."""
-
-
 def load_baseline(path: Union[str, Path]) -> Dict[BaselineKey, int]:
     """Baseline file -> multiset of finding keys (key -> count)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BaselineError(f"cannot read baseline {path}: {exc}")
-    if not isinstance(doc, dict) or doc.get("format_version") != (
-        FORMAT_VERSION
-    ):
-        raise BaselineError(
-            f"baseline {path} has an unsupported format_version"
-        )
     counts: Dict[BaselineKey, int] = {}
-    for entry in doc.get("findings", []):
-        key = (
-            str(entry.get("path", "")),
-            str(entry.get("code", "")),
-            str(entry.get("message", "")),
-        )
+    for entry in load(Baseline, path).findings:
+        key = (entry.path, entry.code, entry.message)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

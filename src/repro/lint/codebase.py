@@ -1,6 +1,6 @@
 """Tier-B codebase lint: stdlib-``ast`` rules over ``src/repro``.
 
-Four repo invariants become machine-checked:
+Three repo invariants become machine-checked:
 
 * **ACE901** — deterministic modules (``core``, ``perfmodel``,
   ``parallel``, ``ir``) may not call wall-clock time, ``datetime.now``,
@@ -11,8 +11,6 @@ Four repo invariants become machine-checked:
 * **ACE902/ACE903** — every telemetry emit passes its event name as a
   string literal (or a constant imported from
   :mod:`repro.telemetry.events`), and that name is registered.
-* **ACE904** — a class defining ``to_json`` must define ``from_json``;
-  one-way serialization is how artifact formats rot.
 * **ACE905** — no bare ``except:`` clauses.
 
 Suppressions: a line ending in ``# lint: allow(ACE902)`` (comma-list
@@ -227,23 +225,6 @@ class _Analyzer(ast.NodeVisitor):
                 node,
                 hint="register it in repro/telemetry/events.py",
             )
-
-    # -- classes -------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = {
-            item.name
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "to_json" in methods and "from_json" not in methods:
-            self._report(
-                "ACE904",
-                f"class {node.name} defines to_json without a matching "
-                f"from_json",
-                node,
-                hint="serialization must round-trip; add from_json",
-            )
-        self.generic_visit(node)
 
     # -- excepts -------------------------------------------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:

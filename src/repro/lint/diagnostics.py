@@ -23,8 +23,10 @@ CI filters, and admission clients can match on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
+
+from ..codec import Record, json_field
 
 ERROR = "error"
 WARNING = "warning"
@@ -90,7 +92,6 @@ CODES: Dict[str, str] = {
     "ACE901": "nondeterministic call in a deterministic module",
     "ACE902": "telemetry emit with a non-literal event name",
     "ACE903": "telemetry emit with an unregistered event name",
-    "ACE904": "dataclass defines to_json without a matching from_json",
     "ACE905": "bare except clause",
     # -- ACE92x: Tier-C determinism taint -----------------------------
     "ACE920": "nondeterministic value reaches a serialized JSON artifact",
@@ -114,15 +115,20 @@ CODES: Dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    """One violated invariant, with a stable machine-matchable code."""
+class Diagnostic(Record):
+    """One violated invariant, with a stable machine-matchable code.
+
+    The JSON form leaves out an empty location, hint or attrs.
+    """
 
     code: str
     message: str
     severity: str = ERROR
-    location: str = ""
-    hint: str = ""
-    attrs: Dict[str, object] = field(default_factory=dict)
+    location: str = json_field(default="", omit_empty=True)
+    hint: str = json_field(default="", omit_empty=True)
+    attrs: Dict[str, object] = json_field(
+        default_factory=dict, omit_empty=True
+    )
 
     def __post_init__(self) -> None:
         if self.code not in CODES:
@@ -133,31 +139,6 @@ class Diagnostic:
     @property
     def title(self) -> str:
         return CODES[self.code]
-
-    def to_json(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-        }
-        if self.location:
-            data["location"] = self.location
-        if self.hint:
-            data["hint"] = self.hint
-        if self.attrs:
-            data["attrs"] = dict(self.attrs)
-        return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "Diagnostic":
-        return cls(
-            code=str(data["code"]),
-            message=str(data["message"]),
-            severity=str(data.get("severity", ERROR)),
-            location=str(data.get("location", "")),
-            hint=str(data.get("hint", "")),
-            attrs=dict(data.get("attrs", {})),
-        )
 
     def render(self) -> str:
         """One-line human rendering (``repro-lint --format text``)."""

@@ -16,7 +16,11 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from ..codec import Version
 from .stage import StageConfig
+
+#: Format marker of a serialized plan (``repro.parallel.serialization``).
+FORMAT_VERSION = 1
 
 
 @dataclass
@@ -33,6 +37,8 @@ class ParallelConfig:
     microbatch_size: int = 1
     _signature: str = field(default="", repr=False, compare=False)
     _cache_key: bytes = field(default=b"", repr=False, compare=False)
+
+    json_version = Version("format_version", FORMAT_VERSION)
 
     def __post_init__(self) -> None:
         if not self.stages:

@@ -3,74 +3,35 @@
 A searched plan is a deployment artifact — it outlives the process that
 found it (the paper's shared-cluster motivation) — so it must round-trip
 through JSON losslessly, including the semantic signature used for
-deduplication and executor-noise seeding.
+deduplication and executor-noise seeding.  The format is the codec's
+record form of :class:`ParallelConfig` and :class:`StageConfig`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
+from ..codec import decode, encode, load
+from ..ioutil import write_json_atomic
 from .config import ParallelConfig
-from .stage import StageConfig
-
-#: Format marker so future layout changes can stay loadable.
-FORMAT_VERSION = 1
 
 
 def config_to_dict(config: ParallelConfig) -> dict:
     """Plain-python representation of a configuration."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "microbatch_size": config.microbatch_size,
-        "stages": [
-            {
-                "start": stage.start,
-                "end": stage.end,
-                "num_devices": stage.num_devices,
-                "tp": stage.tp.tolist(),
-                "dp": stage.dp.tolist(),
-                "tp_dim": stage.tp_dim.tolist(),
-                "recompute": stage.recompute.tolist(),
-            }
-            for stage in config.stages
-        ],
-    }
+    return encode(config)
 
 
 def config_from_dict(data: dict) -> ParallelConfig:
-    """Inverse of :func:`config_to_dict` (validates the version)."""
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported plan format version: {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    stages = [
-        StageConfig(
-            start=int(s["start"]),
-            end=int(s["end"]),
-            num_devices=int(s["num_devices"]),
-            tp=np.asarray(s["tp"], dtype=np.int64),
-            dp=np.asarray(s["dp"], dtype=np.int64),
-            tp_dim=np.asarray(s["tp_dim"], dtype=np.int64),
-            recompute=np.asarray(s["recompute"], dtype=bool),
-        )
-        for s in data["stages"]
-    ]
-    return ParallelConfig(
-        stages=stages, microbatch_size=int(data["microbatch_size"])
-    )
+    """Inverse of :func:`config_to_dict` (strict; validates the version)."""
+    return decode(ParallelConfig, data)
 
 
 def save_config(config: ParallelConfig, path: Union[str, Path]) -> None:
     """Write a plan to a JSON file."""
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2))
+    write_json_atomic(path, encode(config))
 
 
 def load_config(path: Union[str, Path]) -> ParallelConfig:
     """Read a plan from a JSON file."""
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return load(ParallelConfig, path)

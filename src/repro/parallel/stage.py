@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..codec import json_field
+
 
 def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
@@ -39,10 +41,10 @@ class StageConfig:
     start: int
     end: int
     num_devices: int
-    tp: np.ndarray
-    dp: np.ndarray
-    tp_dim: np.ndarray
-    recompute: np.ndarray
+    tp: np.ndarray = json_field(dtype=np.int64)
+    dp: np.ndarray = json_field(dtype=np.int64)
+    tp_dim: np.ndarray = json_field(dtype=np.int64)
+    recompute: np.ndarray = json_field(dtype=bool)
     # Lazily computed identity caches.  A stage is semantically frozen
     # once it has been costed/hashed; the mutation helpers that are
     # allowed to edit arrays in place reset these (see

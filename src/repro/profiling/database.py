@@ -10,13 +10,12 @@ configurations per second (§3.3).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List
 
 import numpy as np
 
+from ..codec import Record, json_field
 from ..ir.graph import OpGraph
 from .cost import op_signature
 
@@ -36,16 +35,16 @@ def tp_levels(max_tp: int) -> List[int]:
 
 
 @dataclass
-class OpProfile:
+class OpProfile(Record):
     """Linear time model of one op: ``time(mbs) = fixed + mbs * slope``.
 
     Arrays are indexed ``[tp_level, partition_option]``.
     """
 
-    fwd_fixed: np.ndarray
-    fwd_slope: np.ndarray
-    bwd_fixed: np.ndarray
-    bwd_slope: np.ndarray
+    fwd_fixed: np.ndarray = json_field(dtype=np.float64)
+    fwd_slope: np.ndarray = json_field(dtype=np.float64)
+    bwd_fixed: np.ndarray = json_field(dtype=np.float64)
+    bwd_slope: np.ndarray = json_field(dtype=np.float64)
 
     def __post_init__(self) -> None:
         shape = self.fwd_fixed.shape
@@ -61,33 +60,16 @@ class OpProfile:
     def num_options(self) -> int:
         return int(self.fwd_fixed.shape[1])
 
-    def to_json(self) -> dict:
-        return {
-            "fwd_fixed": self.fwd_fixed.tolist(),
-            "fwd_slope": self.fwd_slope.tolist(),
-            "bwd_fixed": self.bwd_fixed.tolist(),
-            "bwd_slope": self.bwd_slope.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OpProfile":
-        return cls(
-            fwd_fixed=np.asarray(data["fwd_fixed"], dtype=np.float64),
-            fwd_slope=np.asarray(data["fwd_slope"], dtype=np.float64),
-            bwd_fixed=np.asarray(data["bwd_fixed"], dtype=np.float64),
-            bwd_slope=np.asarray(data["bwd_slope"], dtype=np.float64),
-        )
-
 
 @dataclass
-class CollectiveProfile:
+class CollectiveProfile(Record):
     """alpha-beta fit of one collective kind per group-size level.
 
     ``time(bytes, group) = latency[level(group)] + bytes * inv_bw[...]``.
     """
 
-    latency: np.ndarray
-    inv_bandwidth: np.ndarray
+    latency: np.ndarray = json_field(dtype=np.float64)
+    inv_bandwidth: np.ndarray = json_field(dtype=np.float64)
 
     def time(self, num_bytes: float, group_size: int) -> float:
         if group_size <= 1 or num_bytes <= 0:
@@ -101,27 +83,15 @@ class CollectiveProfile:
             self.latency[level] + num_bytes * self.inv_bandwidth[level]
         )
 
-    def to_json(self) -> dict:
-        return {
-            "latency": self.latency.tolist(),
-            "inv_bandwidth": self.inv_bandwidth.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CollectiveProfile":
-        return cls(
-            latency=np.asarray(data["latency"], dtype=np.float64),
-            inv_bandwidth=np.asarray(data["inv_bandwidth"], dtype=np.float64),
-        )
-
 
 @dataclass
-class ProfileDatabase:
+class ProfileDatabase(Record):
     """All profiled measurements for one (cluster, precision) pair.
 
     The database is keyed by op *signature*, so it is reusable across
     models sharing operators and across searches over the same model —
     the paper's "profiled database can be reused" property (§3.3).
+    ``save``/``load`` persist it as JSON.
     """
 
     max_tp: int
@@ -149,34 +119,6 @@ class ProfileDatabase:
     @property
     def num_ops(self) -> int:
         return len(self.ops)
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist as JSON (the paper's reusable profile database)."""
-        payload = {
-            "max_tp": self.max_tp,
-            "precision": self.precision,
-            "ops": {k: v.to_json() for k, v in self.ops.items()},
-            "collectives": {
-                k: v.to_json() for k, v in self.collectives.items()
-            },
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ProfileDatabase":
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            max_tp=payload["max_tp"],
-            precision=payload["precision"],
-            ops={
-                k: OpProfile.from_json(v)
-                for k, v in payload["ops"].items()
-            },
-            collectives={
-                k: CollectiveProfile.from_json(v)
-                for k, v in payload["collectives"].items()
-            },
-        )
 
 
 class ProfiledGraph:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..codec import Record
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import FLEET_CHAOS_KILL, FLEET_CHAOS_RESTART
 from .daemon import PlannerDaemon
@@ -49,7 +50,7 @@ _EVENT_KINDS = frozenset(("kill", "restart"))
 
 
 @dataclass(frozen=True)
-class ChaosEvent:
+class ChaosEvent(Record):
     """Kill or restart ``replica`` just before request ``after_request``
     (0-based index into the replayed request list) is submitted."""
 
@@ -62,21 +63,6 @@ class ChaosEvent:
             raise ValueError(f"unknown chaos event kind: {self.kind!r}")
         if self.after_request < 0:
             raise ValueError("after_request must be >= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "after_request": self.after_request,
-            "kind": self.kind,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosEvent":
-        return cls(
-            after_request=int(data["after_request"]),
-            kind=str(data["kind"]),
-            replica=str(data["replica"]),
-        )
 
 
 def seeded_schedule(
@@ -233,8 +219,9 @@ class InProcessReplica:
 
 
 @dataclass
-class ChaosReport:
-    """What a chaos run proved (or failed to prove)."""
+class ChaosReport(Record):
+    """What a chaos run proved (or failed to prove); the JSON form adds
+    the derived ``ok`` verdict (output only)."""
 
     total: int
     lost: int
@@ -247,41 +234,13 @@ class ChaosReport:
     digest_mismatches: List[dict] = field(default_factory=list)
     events: List[dict] = field(default_factory=list)
 
+    json_derived = {"ok": lambda report: report.ok}
+
     @property
     def ok(self) -> bool:
         """Zero lost requests, every answer terminal, all non-degraded
         plans bit-identical to the single-daemon oracle."""
         return self.lost == 0 and not self.digest_mismatches
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "lost": self.lost,
-            "by_status": dict(self.by_status),
-            "degraded": self.degraded,
-            "failovers": self.failovers,
-            "hedged": self.hedged,
-            "coalesced": self.coalesced,
-            "digest_checked": self.digest_checked,
-            "digest_mismatches": list(self.digest_mismatches),
-            "events": list(self.events),
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosReport":
-        return cls(
-            total=int(data["total"]),
-            lost=int(data["lost"]),
-            by_status=dict(data.get("by_status", {})),
-            degraded=int(data.get("degraded", 0)),
-            failovers=int(data.get("failovers", 0)),
-            hedged=int(data.get("hedged", 0)),
-            coalesced=int(data.get("coalesced", 0)),
-            digest_checked=int(data.get("digest_checked", 0)),
-            digest_mismatches=list(data.get("digest_mismatches", [])),
-            events=list(data.get("events", [])),
-        )
 
 
 def run_chaos(

@@ -514,8 +514,8 @@ class PlannerDaemon:
         """
         from ..elastic.timeline import ChurnEvent
 
-        if isinstance(event, dict):
-            event = ChurnEvent.from_dict(event)
+        if not isinstance(event, ChurnEvent):
+            event = ChurnEvent.from_json(event)
         dropped = self.invalidate_plans()
         bus = get_bus()
         if bus.active:

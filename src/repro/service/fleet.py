@@ -46,6 +46,7 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..codec import Record
 from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
@@ -83,7 +84,7 @@ class ReplicaError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(Record):
     """Routing policy knobs (all defaults are deliberately mild)."""
 
     vnodes: int = 128
@@ -118,32 +119,6 @@ class FleetConfig:
             raise ValueError("hedge_factor must be positive")
         if self.down_after < 1:
             raise ValueError("down_after must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "vnodes": self.vnodes,
-            "retries": self.retries,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "request_timeout": self.request_timeout,
-            "hedge_factor": self.hedge_factor,
-            "hedge_min_seconds": self.hedge_min_seconds,
-            "load_weight": self.load_weight,
-            "degraded_deadline_seconds": self.degraded_deadline_seconds,
-            "health_interval": self.health_interval,
-            "down_after": self.down_after,
-            "cache_entries": self.cache_entries,
-            "stale_entries": self.stale_entries,
-            "retry_after_seconds": self.retry_after_seconds,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FleetConfig":
-        return cls(**{
-            key: data[key] for key in cls.__dataclass_fields__
-            if key in data
-        })
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ exactly one terminal response:
   tells the client when to come back) or the circuit breaker is open
 - ``failed``   — the search itself failed; ``error`` says why
 
-Everything round-trips through plain JSON dicts so the HTTP layer, the
+Both are codec records (:mod:`repro.codec`), so the HTTP layer, the
 in-process daemon API, and the on-disk request journal (used by the
-SIGTERM drain/re-admit cycle) all speak the same records.
+SIGTERM drain/re-admit cycle) all speak the same strict JSON form.
 
 The *fingerprint* is the plan cache key: a digest over exactly the
 fields that determine the resulting plan (model, cluster size, stage
@@ -28,6 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ..codec import CodecError, Record, Version
+
 #: Terminal response statuses (every request ends in exactly one).
 STATUS_SERVED = "served"
 STATUS_PARTIAL = "partial"
@@ -41,12 +43,16 @@ TERMINAL_STATUSES = frozenset(
 PROTOCOL_VERSION = 1
 
 
-class ProtocolError(ValueError):
+class ProtocolError(CodecError):
     """A request/response payload is malformed."""
 
 
+#: Clients may omit the version key; a present one must match.
+_WIRE_VERSION = Version("protocol_version", PROTOCOL_VERSION, required=False)
+
+
 @dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(Record):
     """One plan query.
 
     ``deadline_seconds`` bounds the search wall-clock (anytime: a plan
@@ -63,6 +69,10 @@ class PlanRequest:
     priority: int = 0
     strategy: str = "greedy"
     strategy_kwargs: Optional[dict] = None
+
+    json_version = _WIRE_VERSION
+    json_error = ProtocolError
+    json_label = "request"
 
     def __post_init__(self) -> None:
         if not self.model or not isinstance(self.model, str):
@@ -117,83 +127,9 @@ class PlanRequest:
         )
         return digest.hexdigest()[:16]
 
-    def to_json(self) -> dict:
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "model": self.model,
-            "gpus": self.gpus,
-            "stage_counts": (
-                list(self.stage_counts)
-                if self.stage_counts is not None
-                else None
-            ),
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "deadline_seconds": self.deadline_seconds,
-            "priority": self.priority,
-            "strategy": self.strategy,
-            "strategy_kwargs": (
-                dict(self.strategy_kwargs)
-                if self.strategy_kwargs is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlanRequest":
-        if not isinstance(data, dict):
-            raise ProtocolError("request must be a JSON object")
-        version = data.get("protocol_version", PROTOCOL_VERSION)
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version: {version!r}"
-            )
-        unknown = sorted(
-            set(data)
-            - {
-                "protocol_version", "model", "gpus", "stage_counts",
-                "iterations", "seed", "deadline_seconds", "priority",
-                "strategy", "strategy_kwargs",
-            }
-        )
-        if unknown:
-            raise ProtocolError(f"unknown request field(s): {unknown}")
-        try:
-            stage_counts = data.get("stage_counts")
-            strategy_kwargs = data.get("strategy_kwargs")
-            return cls(
-                model=data["model"],
-                gpus=int(data.get("gpus", 8)),
-                stage_counts=(
-                    tuple(int(c) for c in stage_counts)
-                    if stage_counts is not None
-                    else None
-                ),
-                iterations=int(data.get("iterations", 30)),
-                seed=int(data.get("seed", 0)),
-                deadline_seconds=(
-                    float(data["deadline_seconds"])
-                    if data.get("deadline_seconds") is not None
-                    else None
-                ),
-                priority=int(data.get("priority", 0)),
-                strategy=str(data.get("strategy", "greedy")),
-                strategy_kwargs=(
-                    dict(strategy_kwargs)
-                    if strategy_kwargs is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ProtocolError):
-                raise
-            raise ProtocolError(
-                f"malformed request: {type(exc).__name__}: {exc}"
-            ) from exc
-
 
 @dataclass
-class PlanResponse:
+class PlanResponse(Record):
     """The terminal answer to one :class:`PlanRequest`."""
 
     status: str
@@ -222,6 +158,9 @@ class PlanResponse:
     #: A hedge (backup request past the p99 budget) won the race.
     hedged: bool = False
 
+    json_version = _WIRE_VERSION
+    json_error = ProtocolError
+
     def __post_init__(self) -> None:
         if self.status not in TERMINAL_STATUSES:
             raise ProtocolError(f"unknown status: {self.status!r}")
@@ -230,54 +169,3 @@ class PlanResponse:
     def ok(self) -> bool:
         """Whether the response carries a usable plan."""
         return self.status in (STATUS_SERVED, STATUS_PARTIAL)
-
-    def to_json(self) -> dict:
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "status": self.status,
-            "request_id": self.request_id,
-            "fingerprint": self.fingerprint,
-            "plan": self.plan,
-            "objective": self.objective,
-            "cached": self.cached,
-            "retry_after": self.retry_after,
-            "error": self.error,
-            "elapsed_seconds": self.elapsed_seconds,
-            "failures": self.failures,
-            "diagnostics": self.diagnostics,
-            "stale": self.stale,
-            "coalesced": self.coalesced,
-            "replica": self.replica,
-            "failovers": self.failovers,
-            "hedged": self.hedged,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlanResponse":
-        if not isinstance(data, dict):
-            raise ProtocolError("response must be a JSON object")
-        try:
-            return cls(
-                status=data["status"],
-                request_id=int(data["request_id"]),
-                fingerprint=data["fingerprint"],
-                plan=data.get("plan"),
-                objective=data.get("objective"),
-                cached=bool(data.get("cached", False)),
-                retry_after=data.get("retry_after"),
-                error=data.get("error"),
-                elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-                failures=list(data.get("failures", [])),
-                diagnostics=list(data.get("diagnostics", [])),
-                stale=bool(data.get("stale", False)),
-                coalesced=bool(data.get("coalesced", False)),
-                replica=data.get("replica"),
-                failovers=int(data.get("failovers", 0)),
-                hedged=bool(data.get("hedged", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ProtocolError):
-                raise
-            raise ProtocolError(
-                f"malformed response: {type(exc).__name__}: {exc}"
-            ) from exc

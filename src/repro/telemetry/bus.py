@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..codec import Record
+
 #: Event severity levels (logging-module numeric scale).
 DEBUG, INFO, WARNING, ERROR = 10, 20, 30, 40
 
@@ -34,7 +36,7 @@ EVENT, SPAN_BEGIN, SPAN_END, COUNTER = (
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One telemetry record.
 
     ``ts`` is seconds since the emitting bus's epoch (monotonic within
@@ -52,7 +54,9 @@ class Event:
     attrs: Mapping = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """JSON-safe representation (private ``_`` attrs dropped)."""
+        """JSON-safe representation (private ``_`` attrs dropped); the
+        one override of the codec's encoder, since attrs are arbitrary
+        in-memory values.  Decoding is the codec's."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -66,18 +70,6 @@ class Event:
                 if not key.startswith("_")
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Event":
-        return cls(
-            name=data["name"],
-            kind=data.get("kind", EVENT),
-            ts=float(data.get("ts", 0.0)),
-            pid=int(data.get("pid", 0)),
-            source=data.get("source", ""),
-            level=int(data.get("level", INFO)),
-            attrs=dict(data.get("attrs", {})),
-        )
 
     def with_attrs(self, **extra) -> "Event":
         """Copy with ``extra`` merged into ``attrs`` (attribution)."""

@@ -15,10 +15,11 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
+from ..codec import json_keys
 from .bus import LEVEL_NAMES, Event
 
 #: Keys every run-log line must carry (the JSONL schema).
-RUN_LOG_KEYS = ("name", "kind", "ts", "pid", "source", "level", "attrs")
+RUN_LOG_KEYS = json_keys(Event)
 
 
 class RingBufferSink:

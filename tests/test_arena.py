@@ -92,7 +92,7 @@ class TestTournament:
             tiny_graph, small_cluster, tiny_database, label="round-trip"
         )
         path = tmp_path / "BENCH_strategies.json"
-        result.write_json(path)
+        result.save(path)
         data = json.loads(path.read_text())
         assert data["label"] == "round-trip"
         assert data["winner"] == result.winner.strategy

@@ -94,6 +94,21 @@ class TestEstimateMain:
                 ["--model", "gpt3-350m", "--gpus", "4", str(plan)]
             )
 
+    def test_malformed_plan_exits_cleanly(self, tmp_path, capsys):
+        from repro.cli import estimate_main
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"format_version": 1,
+                                    "microbatch_size": 1}))
+        code = estimate_main(
+            ["--model", "gpt-2l", "--gpus", "4", str(plan)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-estimate: cannot load plan")
+        assert "stages" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCompareMain:
     def test_json_output(self, capsys):

@@ -75,13 +75,13 @@ class TestChurnTimeline:
 
     def test_dict_round_trip_drops_none_fields(self):
         event = ChurnEvent(2.5, "straggler_on", device_id=3, factor=1.7)
-        data = event.to_dict()
+        data = event.to_json()
         assert set(data) == {"time", "kind", "device_id", "factor"}
-        assert ChurnEvent.from_dict(data) == event
+        assert ChurnEvent.from_json(data) == event
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown churn event"):
-            ChurnEvent.from_dict(
+            ChurnEvent.from_json(
                 {"time": 1.0, "kind": "node_join", "node_id": 0,
                  "blast_radius": 3}
             )
@@ -103,7 +103,7 @@ class TestChurnTimeline:
     def test_version_gate(self):
         data = {"format_version": 99, "seed": 0, "events": []}
         with pytest.raises(ValueError, match="format version"):
-            ChurnTimeline.from_dict(data)
+            ChurnTimeline.from_json(data)
 
     def test_random_timeline_is_deterministic(self):
         a = random_churn_timeline(4, 2, seed=5, num_events=12)
@@ -150,11 +150,11 @@ def test_random_churn_timeline_round_trips(seed, num_events, nodes):
     timeline = random_churn_timeline(
         nodes, 2, seed=seed, num_events=num_events
     )
-    rebuilt = ChurnTimeline.from_dict(
-        json.loads(json.dumps(timeline.to_dict()))
+    rebuilt = ChurnTimeline.from_json(
+        json.loads(json.dumps(timeline.to_json()))
     )
     assert rebuilt == timeline
-    assert rebuilt.to_dict()["format_version"] == CHURN_FORMAT_VERSION
+    assert rebuilt.to_json()["format_version"] == CHURN_FORMAT_VERSION
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,7 +195,7 @@ def test_fault_plan_json_round_trips(seed, failures, stragglers, intra):
         ),
         link_degradations=links,
     )
-    rebuilt = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+    rebuilt = FaultPlan.from_json(json.loads(json.dumps(plan.to_json())))
     assert rebuilt == plan
 
 
@@ -434,11 +434,11 @@ class TestElasticController:
             graph, cluster42, seed=3, policy=policy
         ).run(timeline)
         assert first.replay_digest() == second.replay_digest()
-        assert first.to_dict()["decisions"] == [
-            d.to_dict() for d in first.decisions
+        assert first.to_json()["decisions"] == [
+            d.to_json() for d in first.decisions
         ]
         # The record is JSON-clean end to end.
-        json.dumps(first.to_dict())
+        json.dumps(first.to_json())
 
     def test_forced_replan_on_preemption(self, graph, cluster42):
         timeline = ChurnTimeline(seed=0, events=(
@@ -752,7 +752,7 @@ class TestChurnServing:
         for thread in threads[:3]:
             thread.start()
         for event in timeline.events:
-            self.post(http_server, "/churn", event.to_dict())
+            self.post(http_server, "/churn", event.to_json())
         for thread in threads[3:]:
             thread.start()
         for thread in threads:

@@ -348,24 +348,6 @@ class TestTierBSerializationAndExcepts:
             source, "fixture.py", module_path="telemetry/x.py"
         )
 
-    def test_to_json_without_from_json(self):
-        diagnostics = self.lint(
-            "class Thing:\n"
-            "    def to_json(self):\n"
-            "        return {}\n"
-        )
-        assert [d.code for d in diagnostics] == ["ACE904"]
-
-    def test_round_trip_class_ok(self):
-        assert self.lint(
-            "class Thing:\n"
-            "    def to_json(self):\n"
-            "        return {}\n"
-            "    @classmethod\n"
-            "    def from_json(cls, data):\n"
-            "        return cls()\n"
-        ) == []
-
     def test_bare_except(self):
         diagnostics = self.lint(
             "try:\n    x = 1\nexcept:\n    pass\n"

@@ -83,7 +83,7 @@ class TestFaultPlan:
 
     def test_rejects_unknown_format_version(self):
         with pytest.raises(ValueError, match="format version"):
-            FaultPlan.from_dict({"format_version": 99})
+            FaultPlan.from_json({"format_version": 99})
 
     def test_rng_is_reproducible_per_key(self):
         plan = FaultPlan(seed=11)
