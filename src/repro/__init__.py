@@ -29,7 +29,8 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.baselines` — Megatron-LM grid / Alpa-style / DP / random
 - :mod:`repro.runtime` — ground-truth 1F1B executor
 - :mod:`repro.numrt` — numpy training runtime (semantics checks)
-- :mod:`repro.faults` — deterministic fault injection + elastic replan
+- :mod:`repro.faults` — deterministic fault injection
+- :mod:`repro.elastic` — churn timelines, warm replans, the controller
 - :mod:`repro.analysis` — metrics + cross-system comparison
 """
 
@@ -43,7 +44,8 @@ from .core import (
     SearchResult,
     search_all_stage_counts,
 )
-from .faults import FaultPlan, elastic_replan, random_fault_plan, shrink_cluster
+from .elastic import elastic_replan
+from .faults import FaultPlan, random_fault_plan, shrink_cluster
 from .ir import OpGraph, OpSpec
 from .ir.models import available_models, build_model
 from .parallel import (

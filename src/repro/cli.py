@@ -351,7 +351,8 @@ def search_main(argv: Optional[List[str]] = None) -> int:
         f"measured {payload['actual_iteration_time']:.3f}s per iteration",
         f"throughput {throughput:.2f} samples/s "
         f"({payload['tflops_per_gpu']:.1f} TFLOPS/GPU)",
-        f"search cost {multi.parallel_seconds:.1f}s "
+        f"search wall {multi.wall_seconds:.1f}s, critical path "
+        f"{multi.parallel_seconds:.1f}s "
         f"({multi.num_estimates} configurations estimated)",
         payload["config"],
     ]
@@ -551,20 +552,6 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     return 0 if not run.oom and run.completed else 1
 
 
-def _run_controller(graph, cluster, timeline, seed, iterations):
-    """Drive the elastic controller through ``timeline`` (shared by
-    ``repro-elastic run`` and ``repro-replan --churn-timeline``)."""
-    from .elastic import ControllerPolicy, ElasticController
-
-    controller = ElasticController(
-        graph,
-        cluster,
-        seed=seed,
-        policy=ControllerPolicy(replan_iterations=iterations),
-    )
-    return controller.run(timeline)
-
-
 def _controller_lines(args, run) -> List[str]:
     """Human rendering of one controller run's decision record."""
     rows = []
@@ -676,7 +663,12 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
     if args.horizon <= 0:
         parser.error("--horizon must be positive")
 
-    from .elastic import ChurnTimeline, random_churn_timeline
+    from .elastic import (
+        ChurnTimeline,
+        ControllerPolicy,
+        ElasticController,
+        random_churn_timeline,
+    )
 
     if args.command == "gen":
         timeline = random_churn_timeline(
@@ -727,11 +719,14 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
         cluster = ClusterSpec(
             num_nodes=args.nodes, gpus_per_node=args.gpus_per_node
         )
-    graph = build_model(args.model)
+    controller = ElasticController(
+        build_model(args.model),
+        cluster,
+        seed=args.seed,
+        policy=ControllerPolicy(replan_iterations=args.iterations),
+    )
     with _telemetry(args):
-        run = _run_controller(
-            graph, cluster, timeline, args.seed, args.iterations
-        )
+        run = controller.run(timeline)
     if args.output:
         from pathlib import Path
 
@@ -768,41 +763,10 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
         default=5,
         help="surviving configurations to warm-start from (default 5)",
     )
-    parser.add_argument(
-        "--churn-timeline",
-        default=None,
-        metavar="FILE.churn.json",
-        help="replay a saved churn timeline through the elastic "
-        "controller instead of the single-failure comparison",
-    )
     args = parser.parse_args(argv)
 
-    from .faults import (
-        DeviceFailure,
-        FaultPlan,
-        elastic_replan,
-        shrink_cluster,
-    )
-
-    if args.churn_timeline:
-        from .elastic import ChurnTimeline
-
-        try:
-            timeline = ChurnTimeline.load(args.churn_timeline)
-        except CodecError as exc:
-            print(
-                f"repro-replan: cannot load churn timeline: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        cluster = paper_cluster(args.gpus)
-        graph = build_model(args.model)
-        with _telemetry(args):
-            run = _run_controller(
-                graph, cluster, timeline, args.seed, args.iterations
-            )
-        _emit_output(args, run.to_json(), _controller_lines(args, run))
-        return 0
+    from .elastic import elastic_replan
+    from .faults import DeviceFailure, FaultPlan, shrink_cluster
 
     if not 0 <= args.fail_device < args.gpus:
         parser.error(

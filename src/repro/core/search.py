@@ -300,19 +300,27 @@ class SearchFailure:
 
 
 def retry_delay(
-    base: float, num_stages: int, attempt: int, seed: int = 0
+    base: float,
+    key: object,
+    attempt: int,
+    seed: int = 0,
+    *,
+    cap: Optional[float] = None,
 ) -> float:
     """Exponential backoff with deterministic, per-attempt jitter.
 
-    Workers that fail simultaneously usually share a cause (a bad node,
-    a full disk); retrying them in lockstep re-forks the whole herd at
-    once.  Each (stage count, attempt) therefore draws a multiplier in
-    ``[1, 2)`` from its own seeded RNG — deterministic across runs for
-    reproducibility, decorrelated across stage counts so the re-forks
-    spread out.
+    Callers that fail simultaneously usually share a cause (a bad node,
+    a full disk, a dead replica); retrying them in lockstep re-forks or
+    re-sends the whole herd at once.  Each (seed, key, attempt) — the
+    driver keys by stage count, the fleet router by request
+    fingerprint — therefore draws a multiplier in ``[1, 2)`` from its
+    own seeded RNG: deterministic across runs for reproducibility,
+    decorrelated across keys so the retries spread out.  ``cap``
+    bounds the delay.
     """
-    jitter = random.Random(f"{seed}:{num_stages}:{attempt}").random()
-    return base * (2 ** attempt) * (1.0 + jitter)
+    jitter = random.Random(f"{seed}:{key}:{attempt}").random()
+    delay = base * (2 ** attempt) * (1.0 + jitter)
+    return delay if cap is None else min(cap, delay)
 
 
 @dataclass

@@ -6,6 +6,8 @@ defines seeded, replayable cluster-membership churn, and
 :mod:`~repro.elastic.controller` drives a plan through it — deciding
 per event batch whether the estimated throughput loss justifies a
 bounded warm re-search, and always holding a servable plan.
+:mod:`~repro.elastic.replan` holds that warm re-search and its
+comparison against a cold restart.
 """
 
 from .controller import (
@@ -13,6 +15,12 @@ from .controller import (
     ControllerRun,
     Decision,
     ElasticController,
+)
+from .replan import (
+    ReplanComparison,
+    ReplanOutcome,
+    elastic_replan,
+    warm_replan,
 )
 from .timeline import (
     CHURN_FORMAT_VERSION,
@@ -31,5 +39,9 @@ __all__ = [
     "ControllerRun",
     "Decision",
     "ElasticController",
+    "ReplanComparison",
+    "ReplanOutcome",
+    "elastic_replan",
     "random_churn_timeline",
+    "warm_replan",
 ]

@@ -14,17 +14,15 @@ whole way through.  Per debounced event batch it
    current plan no longer fits the cluster shape; otherwise only when
    the estimated throughput loss crosses a threshold and a cooldown
    window has elapsed), and
-4. decides how: a warm search seeded from the adapted surviving top-k
-   plans under a bounded iteration budget, falling down a ladder of
-   cheaper answers — best adapted survivor, full-recompute safe
-   variant, balanced restart — rather than ever raising.
+4. decides how: :func:`~repro.elastic.replan.warm_replan` searches
+   from the adapted surviving top-k plans under a bounded iteration
+   budget, falling down a ladder of cheaper answers rather than ever
+   raising.
 
 Every decision is recorded as a JSON-able :class:`Decision` and
 emitted as ``elastic.*`` telemetry.  All control inputs are virtual
 (timeline time, iteration budgets): a run is bit-reproducible from
 ``(seed, timeline)``, which ``ControllerRun.replay_digest`` asserts.
-An optional wall-clock :class:`~repro.core.budget.Deadline` can bound
-replan latency for live deployments at the cost of that guarantee.
 """
 
 from __future__ import annotations
@@ -37,14 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..codec import Record
-from ..core.budget import Deadline, SearchBudget
+from ..core.budget import SearchBudget
 from ..core.search import AcesoSearch, AcesoSearchOptions
 from ..faults.inject import (
     NoSurvivorsError,
     _surviving_nodes,
-    adapt_config,
     degrade_cluster,
-    memory_safe_variant,
     shrink_cluster_checked,
 )
 from ..faults.plan import FaultPlan, LinkDegradation, StragglerSlowdown
@@ -59,12 +55,12 @@ from ..telemetry.events import (
     ELASTIC_CLUSTER_SHRUNK,
     ELASTIC_DECISION,
     ELASTIC_EVENT,
-    ELASTIC_FALLBACK,
     ELASTIC_REPLAN_BEGIN,
     ELASTIC_REPLAN_END,
     ELASTIC_RUN_BEGIN,
     ELASTIC_RUN_END,
 )
+from .replan import warm_replan
 from .timeline import ChurnEvent, ChurnTimeline
 
 
@@ -75,11 +71,6 @@ class ControllerPolicy:
     ``loss_threshold`` / ``cooldown_seconds`` / ``debounce_seconds``
     operate on *virtual* (timeline) time and model-estimated loss, so
     they never make decisions depend on the wall clock.
-
-    ``deadline_seconds``, when set, bounds each replan's wall-clock
-    latency via an anytime :class:`Deadline` — useful live, but a
-    tripped deadline makes the run depend on machine speed, so replay
-    tests leave it ``None``.
     """
 
     #: Re-plan when the current plan's estimated throughput fell by at
@@ -93,8 +84,6 @@ class ControllerPolicy:
     top_k: int = 5
     #: Search iterations per replan (the warm budget).
     replan_iterations: int = 6
-    #: Optional wall-clock bound per replan (anytime search).
-    deadline_seconds: Optional[float] = None
     #: Measure adopted plans on the runtime executor (ground truth
     #: throughput per decision; skip for planner-only runs).
     measure: bool = True
@@ -377,145 +366,6 @@ class ElasticController:
             list(result.top_configs),
         )
 
-    def _warm_candidates(
-        self,
-        cluster: ClusterSpec,
-        survivors: Sequence[Tuple[float, ParallelConfig]],
-        current: ParallelConfig,
-    ) -> List[ParallelConfig]:
-        candidates: List[ParallelConfig] = []
-        seen = set()
-        pool = sorted(survivors, key=lambda pair: pair[0])
-        for _, config in pool + [(0.0, current)]:
-            adapted = adapt_config(config, self.graph, cluster)
-            if adapted is None:
-                continue
-            for variant in (adapted, memory_safe_variant(adapted)):
-                signature = variant.signature()
-                if signature not in seen:
-                    seen.add(signature)
-                    candidates.append(variant)
-        return candidates
-
-    def _replan(
-        self,
-        view: _ClusterView,
-        model: PerfModel,
-        survivors: List[Tuple[float, ParallelConfig]],
-        current: ParallelConfig,
-    ) -> Tuple[ParallelConfig, float, bool, Optional[str], int]:
-        """Warm replan with a fallback ladder; never raises.
-
-        Returns ``(config, objective, feasible, fallback_rung,
-        estimates_spent)``.  ``fallback_rung`` is ``None`` when the
-        warm search itself produced a feasible plan.
-        """
-        policy = self.policy
-        estimates_before = model.num_estimates
-        bus = get_bus()
-        candidates = self._warm_candidates(
-            view.planner, survivors, current
-        )
-        best_candidate: Optional[ParallelConfig] = None
-        best_candidate_obj = float("inf")
-        feasible_candidate: Optional[ParallelConfig] = None
-        feasible_candidate_obj = float("inf")
-        if candidates:
-            reports = model.estimate_batch(candidates)
-            for candidate, report in zip(candidates, reports):
-                objective = model.objective_from_report(report)
-                if objective < best_candidate_obj:
-                    best_candidate = candidate
-                    best_candidate_obj = objective
-                if not report.is_oom and (
-                    objective < feasible_candidate_obj
-                ):
-                    feasible_candidate = candidate
-                    feasible_candidate_obj = objective
-
-        init = best_candidate or balanced_config(
-            self.graph, view.planner, min(2, view.planner.num_gpus)
-        )
-        deadline = (
-            Deadline(policy.deadline_seconds)
-            if policy.deadline_seconds is not None
-            else None
-        )
-        try:
-            result = AcesoSearch(
-                self.graph,
-                view.planner,
-                model,
-                options=AcesoSearchOptions(
-                    seed=self.seed, top_k=policy.top_k
-                ),
-            ).run(
-                init,
-                SearchBudget(
-                    max_iterations=policy.replan_iterations
-                ),
-                deadline=deadline,
-            )
-        except Exception as error:  # ladder below, never crash
-            if bus.active:
-                bus.emit(
-                    ELASTIC_FALLBACK,
-                    source="elastic",
-                    level=WARNING,
-                    rung="search_error",
-                    error=repr(error),
-                )
-            result = None
-
-        spent = model.num_estimates - estimates_before
-        if result is not None and result.is_feasible:
-            survivors[:] = list(result.top_configs)
-            return (
-                result.best_config,
-                result.best_objective,
-                True,
-                None,
-                spent,
-            )
-
-        # Fallback ladder: cheapest servable answer wins.
-        if feasible_candidate is not None:
-            rung = "adapted_survivor"
-            chosen, objective = (
-                feasible_candidate,
-                feasible_candidate_obj,
-            )
-            feasible = True
-        elif result is not None:
-            rung = "infeasible_search_best"
-            chosen, objective = (
-                result.best_config,
-                result.best_objective,
-            )
-            feasible = False
-        elif best_candidate is not None:
-            rung = "infeasible_adapted"
-            chosen, objective = best_candidate, best_candidate_obj
-            feasible = False
-        else:
-            rung = "balanced_restart"
-            chosen = balanced_config(
-                self.graph, view.planner, min(2, view.planner.num_gpus)
-            )
-            report = model.estimate(chosen)
-            objective = model.objective_from_report(report)
-            feasible = not report.is_oom
-        if bus.active:
-            bus.emit(
-                ELASTIC_FALLBACK,
-                source="elastic",
-                level=WARNING,
-                rung=rung,
-                feasible=feasible,
-            )
-        survivors[:] = [(objective, chosen)]
-        return chosen, objective, feasible, rung, spent
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -696,9 +546,22 @@ class ElasticController:
                         time=now,
                         gpus=view.effective.num_gpus,
                     )
-                current, current_obj, feasible, rung, _ = (
-                    self._replan(view, model, survivors, current)
+                plan = warm_replan(
+                    self.graph,
+                    view.planner,
+                    model,
+                    survivors,
+                    current=current,
+                    options=AcesoSearchOptions(
+                        seed=self.seed, top_k=policy.top_k
+                    ),
+                    budget=SearchBudget(
+                        max_iterations=policy.replan_iterations
+                    ),
                 )
+                current, current_obj = plan.config, plan.objective
+                feasible, rung = plan.feasible, plan.rung
+                survivors = plan.survivors
                 adopted_obj = current_obj
                 last_replan_time = now
                 if rung is not None:

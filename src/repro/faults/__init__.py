@@ -1,11 +1,11 @@
-"""Fault layer: deterministic injection, degraded execution, re-planning.
+"""Fault layer: deterministic injection and degraded execution.
 
 ``FaultPlan`` describes deployment faults (device failure, stragglers,
 link degradation, transient allocator OOM); the runtime executor
 consumes it to produce degraded ground-truth measurements; and
-``elastic_replan`` quantifies the paper's "cheap search enables fast
-reconfiguration" argument by warm-starting a new search from the
-surviving top-k plans after device loss.
+``shrink_cluster``/``adapt_config`` map a cluster and its plans onto
+the devices that survive.  Re-planning on the shrunk cluster lives in
+:mod:`repro.elastic.replan`.
 """
 
 from .inject import (
@@ -26,7 +26,6 @@ from .plan import (
     TransientOOM,
     random_fault_plan,
 )
-from .replan import ReplanComparison, ReplanOutcome, elastic_replan
 
 __all__ = [
     "FAULT_FORMAT_VERSION",
@@ -35,13 +34,10 @@ __all__ = [
     "FaultPlan",
     "LinkDegradation",
     "NoSurvivorsError",
-    "ReplanComparison",
-    "ReplanOutcome",
     "StragglerSlowdown",
     "TransientOOM",
     "adapt_config",
     "degrade_cluster",
-    "elastic_replan",
     "memory_safe_variant",
     "random_fault_plan",
     "shrink_cluster",

@@ -10,8 +10,8 @@ policy the single daemon cannot provide for itself:
   fingerprint space and membership changes only remap the keys that
   must move;
 * **failover** — a replica that fails at the transport level or
-  answers with back-pressure is retried with decorrelated-jitter
-  backoff, then the router walks the fingerprint's failover ladder
+  answers with back-pressure is retried with seeded, jittered
+  exponential backoff (capped at ``backoff_cap``), then the router walks the fingerprint's failover ladder
   (the next distinct replicas clockwise on the ring);
 * **hedging** — when the owning replica exceeds its own p99 latency
   budget (scaled up by its polled queue depth, so a busy-but-healthy
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import queue
-import random
 import threading
 import time
 import urllib.error
@@ -47,6 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..codec import Record
+from ..core.search import retry_delay
 from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
@@ -535,7 +535,13 @@ class FleetRouter:
         transport failure (the caller fails over)."""
         for attempt in range(self.config.retries + 1):
             if attempt:
-                time.sleep(self._retry_delay(fingerprint, attempt))
+                time.sleep(retry_delay(
+                    self.config.backoff_base,
+                    fingerprint,
+                    attempt,
+                    self.config.seed,
+                    cap=self.config.backoff_cap,
+                ))
             try:
                 budget = self._hedge_budget(name)
                 if backup is not None and budget is not None:
@@ -636,15 +642,6 @@ class FleetRouter:
             response.status == STATUS_REJECTED
             and not response.diagnostics
         )
-
-    def _retry_delay(self, fingerprint: str, attempt: int) -> float:
-        """Decorrelated jitter, deterministic per (seed, key, attempt)."""
-        rng = random.Random(
-            f"{self.config.seed}:{fingerprint}:{attempt}"
-        )
-        low = self.config.backoff_base
-        high = min(self.config.backoff_cap, low * (3 ** attempt))
-        return rng.uniform(low, max(low, high))
 
     def _hedge_budget(self, name: str) -> Optional[float]:
         """Seconds to wait on ``name`` before racing its backup, from

@@ -52,6 +52,23 @@ class TestSearchMain:
         assert payload["search_seconds_wall"] > 0
         assert payload["throughput_samples_per_s"] > 0
 
+    def test_search_cost_line_labels_wall_and_critical_path(self, capsys):
+        code = search_main(
+            [
+                "--model", "gpt-2l", "--gpus", "4",
+                "--iterations", "2", "--stage-counts", "1", "2",
+            ]
+        )
+        assert code == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "configurations estimated" in line
+        ]
+        assert line.startswith("search wall ")
+        assert ", critical path " in line
+        assert "search cost" not in line
+
     def test_bad_model_raises(self):
         with pytest.raises(KeyError):
             search_main(["--model", "bogus-1b", "--iterations", "1"])

@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tiny_gpt
+from conftest import make_tight_cluster, make_tiny_gpt
 from repro.cluster import ClusterSpec, DeviceSpec, a100, mixed_cluster, v100
+from repro.core import AcesoSearch, AcesoSearchOptions, SearchBudget
 from repro.elastic import (
     CHURN_FORMAT_VERSION,
     ChurnEvent,
     ChurnTimeline,
     ControllerPolicy,
     ElasticController,
+    elastic_replan,
     random_churn_timeline,
+    warm_replan,
 )
 from repro.faults import (
     DeviceFailure,
@@ -595,6 +598,138 @@ class TestElasticController:
 
 
 # ======================================================================
+# the warm replanner and its fallback ladder
+# ======================================================================
+class _RaisingSearch:
+    """Stands in for ``AcesoSearch``: every run raises."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def run(self, *args, **kwargs):
+        raise RuntimeError("search exploded")
+
+
+class TestWarmReplan:
+    @pytest.fixture(scope="class")
+    def survivors(self, graph, cluster42):
+        database = SimulatedProfiler(cluster42, seed=0).profile(graph)
+        result = AcesoSearch(
+            graph, cluster42, PerfModel(graph, cluster42, database)
+        ).run(
+            balanced_config(graph, cluster42, 2),
+            SearchBudget(max_iterations=2),
+        )
+        return list(result.top_configs)
+
+    @staticmethod
+    def replan(graph, cluster, survivors, *, raising=False,
+               monkeypatch=None):
+        from repro.telemetry import CallbackSink, TelemetryBus, using_bus
+
+        if raising:
+            monkeypatch.setattr(
+                "repro.elastic.replan.AcesoSearch", _RaisingSearch
+            )
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        events = []
+        bus = TelemetryBus()
+        bus.add_sink(CallbackSink(events.append))
+        with using_bus(bus):
+            plan = warm_replan(
+                graph,
+                cluster,
+                PerfModel(graph, cluster, database),
+                survivors,
+                budget=SearchBudget(max_iterations=2),
+            )
+        rungs = [
+            event.attrs["rung"]
+            for event in events
+            if event.name == "elastic.fallback"
+        ]
+        return plan, rungs
+
+    def test_search_error_falls_back_to_adapted_survivor(
+        self, graph, survivors, monkeypatch
+    ):
+        shrunk = ClusterSpec(num_nodes=2, gpus_per_node=2)
+        plan, rungs = self.replan(
+            graph, shrunk, survivors, raising=True,
+            monkeypatch=monkeypatch,
+        )
+        assert rungs == ["search_error", "adapted_survivor"]
+        assert plan.rung == "adapted_survivor"
+        assert plan.feasible
+        assert plan.survivors == [(plan.objective, plan.config)]
+
+    def test_memory_starved_cluster_keeps_infeasible_search_best(
+        self, graph, survivors
+    ):
+        starved = make_tight_cluster(num_gpus=4, memory_mb=0.01)
+        plan, rungs = self.replan(graph, starved, survivors)
+        assert rungs == ["infeasible_search_best"]
+        assert plan.rung == "infeasible_search_best"
+        assert not plan.feasible
+        assert plan.config.total_devices == 4
+
+    def test_memory_starved_search_error_keeps_infeasible_adapted(
+        self, graph, survivors, monkeypatch
+    ):
+        starved = make_tight_cluster(num_gpus=4, memory_mb=0.01)
+        plan, rungs = self.replan(
+            graph, starved, survivors, raising=True,
+            monkeypatch=monkeypatch,
+        )
+        assert rungs == ["search_error", "infeasible_adapted"]
+        assert not plan.feasible
+
+    def test_no_adaptable_survivors_restarts_balanced(
+        self, graph, cluster42, monkeypatch
+    ):
+        # Four 2-device stages cannot shrink onto 2 GPUs.
+        stranded = [(1.0, balanced_config(graph, cluster42, 4))]
+        pair = ClusterSpec(num_nodes=1, gpus_per_node=2)
+        assert adapt_config(stranded[0][1], graph, pair) is None
+        plan, rungs = self.replan(
+            graph, pair, stranded, raising=True, monkeypatch=monkeypatch
+        )
+        assert rungs == ["search_error", "balanced_restart"]
+        assert plan.config.signature() == (
+            balanced_config(graph, pair, 2).signature()
+        )
+        assert plan.feasible
+
+    def test_comparison_warm_side_matches_controller_replan(
+        self, graph, cluster42, survivors
+    ):
+        run = ElasticController(
+            graph,
+            cluster42,
+            seed=0,
+            policy=quick_policy(),
+            initial_survivors=survivors,
+        ).run(ChurnTimeline(seed=0, events=(
+            ChurnEvent(5.0, "node_preempt", node_id=3),
+        )))
+        (decision,) = run.decisions
+        assert decision.action == "replan"
+        comparison = elastic_replan(
+            graph,
+            shrink_cluster(cluster42, [6, 7]),
+            survivors,
+            options=AcesoSearchOptions(seed=0, top_k=5),
+            budget_per_count={"max_iterations": 2},
+        )
+        assert comparison.warm.rung is None
+        assert comparison.cold.rung is None
+        assert (
+            comparison.warm.best_config.signature()
+            == decision.plan_signature
+        )
+
+
+# ======================================================================
 # churn timeline lint
 # ======================================================================
 class TestChurnLint:
@@ -804,23 +939,12 @@ class TestElasticCLI:
         assert payload["decisions"]
         assert payload["final_feasible"] is True
 
-    def test_replan_churn_replay_mode(self, tmp_path, capsys):
-        from repro.cli import replan_main
+    def test_run_rejects_missing_timeline(self, tmp_path, capsys):
+        from repro.cli import elastic_main
 
-        path = tmp_path / "replay.churn.json"
-        random_churn_timeline(2, 2, seed=1, num_events=3).save(path)
-        assert replan_main([
-            "--model", "gpt-2l", "--gpus", "4", "--iterations", "2",
-            "--churn-timeline", str(path), "--quiet", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["decisions"]
-
-    def test_replan_rejects_missing_timeline(self, tmp_path):
-        from repro.cli import replan_main
-
-        assert replan_main([
-            "--model", "gpt-2l", "--gpus", "4",
-            "--churn-timeline", str(tmp_path / "nope.churn.json"),
+        assert elastic_main([
+            "run", "--model", "gpt-2l",
+            "--timeline", str(tmp_path / "nope.churn.json"),
             "--quiet",
         ]) == 2
+        assert "cannot load timeline" in capsys.readouterr().err

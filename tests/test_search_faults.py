@@ -17,6 +17,7 @@ from repro.core import (
     search_all_stage_counts,
 )
 from repro.core.search import _failure_kind_from_error, _stage_count_worker
+from repro.elastic import elastic_replan
 from repro.faults import (
     DeviceFailure,
     FaultPlan,
@@ -25,7 +26,6 @@ from repro.faults import (
     TransientOOM,
     adapt_config,
     degrade_cluster,
-    elastic_replan,
     random_fault_plan,
     shrink_cluster,
 )
