@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke test for the planner fleet (`repro-fleet`).
+"""CI smoke test for the planner fleet (`repro-serve --replicas N`).
 
 Two stages:
 
@@ -8,12 +8,13 @@ Two stages:
    requests* — every submit gets a terminal answer — and that every
    non-degraded plan digest is bit-identical to a fresh single-daemon
    oracle answering the same fingerprints.
-2. **HTTP front-end**: boots `repro-fleet` as a real subprocess
-   (2 replicas), fires plan requests (including a same-fingerprint
-   pair for the shared-cache tier), checks /healthz and /invalidate,
-   SIGTERMs it, then lints the run log (fleet.* cross-event
-   invariants, ACE410/ACE411) and the `*.fleet.json` state artifact
-   (ACE401-403) with the repo's own linter.
+2. **HTTP front-end**: boots `repro-serve --replicas 2` as a real
+   subprocess (2 replicas behind the router), fires plan requests
+   (including a same-fingerprint pair for the shared-cache tier),
+   checks /healthz and /invalidate, SIGTERMs it, then lints the run
+   log (fleet.* cross-event invariants, ACE410/ACE411) and the
+   `*.fleet.json` state artifact (ACE401-403) with the repo's own
+   linter.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/fleet_smoke.py``
 """
@@ -117,8 +118,8 @@ def fleet_stage(problems):
     process = subprocess.Popen(
         [
             sys.executable, "-c",
-            "from repro.cli import fleet_main; "
-            "raise SystemExit(fleet_main())",
+            "from repro.cli import serve_main; "
+            "raise SystemExit(serve_main())",
             "--port", "0",
             "--replicas", "2",
             "--workers", "2",

@@ -121,6 +121,30 @@ def _emit_output(args, payload: dict, lines: Sequence[str]) -> None:
             print(line)
 
 
+def _fail(parser: argparse.ArgumentParser, message, code: int = 1) -> int:
+    """Report a runtime error as one ``prog: message`` stderr line and
+    return the exit code."""
+    print(f"{parser.prog}: {message}", file=sys.stderr)
+    return code
+
+
+def _build_setting(parser: argparse.ArgumentParser, model: str,
+                   gpus: Optional[int] = None):
+    """The ``--model`` graph and the ``--gpus`` paper cluster (``None``
+    without ``gpus``); a value neither can be built from is a usage
+    error (exit 2) naming it, not a traceback."""
+    try:
+        graph = build_model(model)
+    except (KeyError, ValueError) as exc:
+        parser.error(f"--model {model}: {exc.args[0]}")
+    if gpus is None:
+        return graph, None
+    try:
+        return graph, paper_cluster(gpus)
+    except ValueError as exc:
+        parser.error(f"--gpus {gpus}: {exc}")
+
+
 def _parse_strategy_args(pairs: Optional[Sequence[str]]) -> dict:
     """Parse repeated ``--strategy-arg KEY=VALUE`` flags.
 
@@ -274,8 +298,7 @@ def search_main(argv: Optional[List[str]] = None) -> int:
         Deadline(args.deadline) if args.deadline is not None else None
     )
 
-    graph = build_model(args.model)
-    cluster = paper_cluster(args.gpus)
+    graph, cluster = _build_setting(parser, args.model, args.gpus)
     perf_model = build_perf_model(graph, cluster, seed=args.seed)
     with _telemetry(args):
         try:
@@ -297,19 +320,14 @@ def search_main(argv: Optional[List[str]] = None) -> int:
             )
         except StrategyError as exc:
             for diagnostic in exc.diagnostics:
-                print(
-                    f"repro-search: {diagnostic.render()}",
-                    file=sys.stderr,
-                )
+                _fail(parser, diagnostic.render())
             return 2
         except CheckpointError as exc:
-            print(f"repro-search: {exc}", file=sys.stderr)
-            return 1
+            return _fail(parser, exc)
         try:
             best = multi.best
         except SearchFailedError as exc:
-            print(f"repro-search: {exc}", file=sys.stderr)
-            return 1
+            return _fail(parser, exc)
         executor = Executor(graph, cluster, seed=args.seed)
         run = executor.run(best.best_config)
     throughput = run.throughput(graph.global_batch_size)
@@ -380,6 +398,7 @@ def compare_main(argv: Optional[List[str]] = None) -> int:
     )
     _add_common(parser)
     args = parser.parse_args(argv)
+    _build_setting(parser, args.model, args.gpus)
 
     with _telemetry(args):
         result = compare_systems(
@@ -447,19 +466,20 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from .parallel.serialization import load_config
-    from .parallel.validation import validate_config
+    from .parallel.validation import ConfigError, validate_config
 
-    graph = build_model(args.model)
-    cluster = paper_cluster(args.gpus)
+    graph, cluster = _build_setting(parser, args.model, args.gpus)
     try:
         config = load_config(args.plan)
     except CodecError as exc:
-        print(
-            f"repro-estimate: cannot load plan: {exc}",
-            file=sys.stderr,
+        return _fail(parser, f"cannot load plan: {exc}")
+    try:
+        validate_config(config, graph, cluster)
+    except ConfigError as exc:
+        return _fail(
+            parser,
+            f"plan does not fit {args.model} on {args.gpus} GPUs: {exc}",
         )
-        return 1
-    validate_config(config, graph, cluster)
     fault_plan = None
     if args.fault_plan:
         from .faults import FaultPlan
@@ -467,11 +487,7 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
         try:
             fault_plan = FaultPlan.load(args.fault_plan)
         except CodecError as exc:
-            print(
-                f"repro-estimate: cannot load fault plan: {exc}",
-                file=sys.stderr,
-            )
-            return 1
+            return _fail(parser, f"cannot load fault plan: {exc}")
     with _telemetry(args):
         perf_model = build_perf_model(graph, cluster, seed=args.seed)
         report = perf_model.estimate(config)
@@ -601,36 +617,31 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
     p_gen = sub.add_parser(
         "gen", help="sample a seeded churn timeline to a file"
     )
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--nodes", type=int, default=4)
-    p_gen.add_argument("--gpus-per-node", type=int, default=2)
-    p_gen.add_argument("--events", type=int, default=8)
-    p_gen.add_argument("--horizon", type=float, default=60.0)
+    p_run = sub.add_parser(
+        "run", help="drive the controller through a churn timeline"
+    )
+    for sampler in (p_gen, p_run):
+        sampler.add_argument("--seed", type=int, default=0)
+        sampler.add_argument("--nodes", type=int, default=4)
+        sampler.add_argument("--gpus-per-node", type=int, default=2)
+        sampler.add_argument("--events", type=int, default=8)
+        sampler.add_argument("--horizon", type=float, default=60.0)
     p_gen.add_argument(
         "--output",
         default=None,
         metavar="FILE.churn.json",
         help="write the timeline here (default stdout)",
     )
-
-    p_run = sub.add_parser(
-        "run", help="drive the controller through a churn timeline"
-    )
     p_run.add_argument(
         "--model", default="gpt-4l",
         help="model name (default gpt-4l)",
     )
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--nodes", type=int, default=4)
-    p_run.add_argument("--gpus-per-node", type=int, default=2)
     p_run.add_argument(
         "--mixed",
         action="store_true",
         help="heterogeneous cluster: upgrade the upper half of the "
         "nodes to A100s",
     )
-    p_run.add_argument("--events", type=int, default=8)
-    p_run.add_argument("--horizon", type=float, default=60.0)
     p_run.add_argument(
         "--timeline",
         default=None,
@@ -670,7 +681,12 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
         random_churn_timeline,
     )
 
-    if args.command == "gen":
+    if args.command == "run" and args.timeline:
+        try:
+            timeline = ChurnTimeline.load(args.timeline)
+        except CodecError as exc:
+            return _fail(parser, f"cannot load timeline: {exc}", 2)
+    else:
         timeline = random_churn_timeline(
             args.nodes,
             args.gpus_per_node,
@@ -678,6 +694,7 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
             num_events=args.events,
             horizon_seconds=args.horizon,
         )
+    if args.command == "gen":
         if args.output:
             timeline.save(args.output)
             print(
@@ -687,24 +704,6 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
         else:
             print(json.dumps(timeline.to_json(), indent=2))
         return 0
-
-    if args.timeline:
-        try:
-            timeline = ChurnTimeline.load(args.timeline)
-        except CodecError as exc:
-            print(
-                f"repro-elastic: cannot load timeline: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        timeline = random_churn_timeline(
-            args.nodes,
-            args.gpus_per_node,
-            seed=args.seed,
-            num_events=args.events,
-            horizon_seconds=args.horizon,
-        )
     if args.mixed:
         from .cluster import a100, mixed_cluster, v100
 
@@ -719,8 +718,9 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
         cluster = ClusterSpec(
             num_nodes=args.nodes, gpus_per_node=args.gpus_per_node
         )
+    graph, _ = _build_setting(parser, args.model)
     controller = ElasticController(
-        build_model(args.model),
+        graph,
         cluster,
         seed=args.seed,
         policy=ControllerPolicy(replan_iterations=args.iterations),
@@ -773,8 +773,7 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
             f"--fail-device {args.fail_device} is outside the "
             f"{args.gpus}-GPU cluster"
         )
-    graph = build_model(args.model)
-    cluster = paper_cluster(args.gpus)
+    graph, cluster = _build_setting(parser, args.model, args.gpus)
     perf_model = build_perf_model(graph, cluster, seed=args.seed)
     budget = {"max_iterations": args.iterations}
     with _telemetry(args):
@@ -879,14 +878,7 @@ def arena_main(argv: Optional[List[str]] = None) -> int:
         description="Tournament harness: race search strategies under "
         "equal budget and deadline on one setting",
     )
-    parser.add_argument(
-        "--model",
-        required=True,
-        help=f"model name, e.g. {available_models()[:3]} or gpt-<N>l",
-    )
-    parser.add_argument(
-        "--gpus", type=int, default=8, help="cluster size (default 8)"
-    )
+    _add_common(parser)
     parser.add_argument(
         "--stage-count",
         type=int,
@@ -907,18 +899,6 @@ def arena_main(argv: Optional[List[str]] = None) -> int:
         nargs="+",
         default=[0],
         help="one tournament lane per strategy x seed (default 0)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="profile-database seed shared by every lane (default 0)",
-    )
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=30,
-        help="iteration budget per entry (default 30)",
     )
     parser.add_argument(
         "--max-estimates",
@@ -951,10 +931,6 @@ def arena_main(argv: Optional[List[str]] = None) -> int:
         metavar="BENCH.json",
         help="write the full tournament record here (atomic)",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of text"
-    )
-    _add_telemetry_flags(parser)
     args = parser.parse_args(argv)
     if args.stage_count < 1:
         parser.error("--stage-count must be positive")
@@ -977,8 +953,7 @@ def arena_main(argv: Optional[List[str]] = None) -> int:
     label = args.label or (
         f"{args.model}/gpus={args.gpus}/stages={args.stage_count}"
     )
-    graph = build_model(args.model)
-    cluster = paper_cluster(args.gpus)
+    graph, cluster = _build_setting(parser, args.model, args.gpus)
     perf_model = build_perf_model(graph, cluster, seed=args.seed)
     with _telemetry(args):
         result = run_tournament(
@@ -1071,8 +1046,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     try:
         events = validate_run_log(args.run_log)
     except (OSError, ValueError) as exc:
-        print(f"repro-trace: {args.run_log}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(parser, f"{args.run_log}: {exc}")
     if args.command == "summary":
         summary = summarize_events(events)
         if args.json:
@@ -1092,19 +1066,54 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def _serve_until_signal(args, backend, stop, *, what: str = "") -> None:
+    """Bind ``backend`` (a daemon or a fleet router) over HTTP and
+    serve until SIGTERM/SIGINT; ``stop`` drains it on the way out."""
+    import signal
+    import threading
+
+    from .service import serve
+
+    server = serve(backend, host=args.host, port=args.port)
+
+    def _handle_signal(signum, _frame):
+        # serve_forever runs in this (main) thread; shutdown() must
+        # come from another one or it deadlocks on its own loop.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _handle_signal)
+    signal.signal(signal.SIGINT, _handle_signal)
+    host, port = server.server_address[:2]
+    print(
+        f"repro-serve: {what}listening on http://{host}:{port}",
+        flush=True,
+    )
+    try:
+        server.serve_forever(poll_interval=0.2)
+    finally:
+        stop()
+        server.server_close()
+
+
 def serve_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``repro-serve``: the resilient planner daemon.
+    """Entry point of ``repro-serve``: the resilient planner daemon, or
+    with ``--replicas N`` a fleet of N daemons behind one router.
 
     Serves the JSON plan protocol over HTTP until SIGTERM/SIGINT, then
     drains gracefully: sheds the queue with ``retry_after``, cancels
     in-flight deadlines so searches checkpoint at the next iteration
     boundary, and exits — a restarted daemon re-admits the journaled
-    requests and resumes their completed stage counts.
+    requests and resumes their completed stage counts.  A fleet shards
+    requests by fingerprint across its replicas with failover, hedging,
+    coalescing and graceful degradation, and drains every replica.
     """
+    from .service import FleetConfig
+
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Anytime planner service: admission-controlled, "
-        "self-healing daemon over the Aceso search",
+        "self-healing daemon over the Aceso search, or a sharded fleet "
+        "of them",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
@@ -1117,20 +1126,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=2,
-        help="planner worker threads (default 2)",
+        help="planner worker threads per daemon (default 2)",
     )
     parser.add_argument(
         "--queue-limit",
         type=int,
         default=8,
-        help="max queued requests before 429 rejection (default 8)",
+        help="max queued requests per daemon before 429 rejection "
+        "(default 8)",
     )
     parser.add_argument(
         "--state-dir",
         default=None,
         metavar="DIR",
         help="persist plans, checkpoints, and the request journal here "
-        "(enables crash/drain recovery)",
+        "(enables crash/drain recovery); a fleet keeps one "
+        "subdirectory per replica plus its state artifact",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -1173,7 +1184,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         default=30.0,
         metavar="SECONDS",
         help="max wait for in-flight searches to checkpoint on "
-        "SIGTERM (default 30)",
+        "SIGTERM, per daemon (default 30)",
     )
     parser.add_argument(
         "--replicas",
@@ -1182,212 +1193,96 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         help="run N planner replicas behind a fleet router instead of "
         "one daemon (default 1)",
     )
+    fleet = parser.add_argument_group("fleet router (--replicas > 1)")
+    fleet.add_argument(
+        "--vnodes",
+        type=int,
+        default=FleetConfig.vnodes,
+        help="virtual nodes per replica on the hash ring "
+        "(default %(default)s)",
+    )
+    fleet.add_argument(
+        "--retries",
+        type=int,
+        default=FleetConfig.retries,
+        help="transport retries per replica before failover "
+        "(default %(default)s)",
+    )
+    fleet.add_argument(
+        "--hedge-factor",
+        type=float,
+        default=FleetConfig.hedge_factor,
+        help="hedge a request once its replica exceeds p99 × this "
+        "(default %(default)s)",
+    )
+    fleet.add_argument(
+        "--seed",
+        type=int,
+        default=FleetConfig.seed,
+        help="seed for the deterministic retry jitter "
+        "(default %(default)s)",
+    )
     _add_telemetry_flags(parser)
     args = parser.parse_args(argv)
     if args.worker_memory_mb is not None and args.worker_memory_mb <= 0:
         parser.error("--worker-memory-mb must be positive")
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
-    if args.replicas > 1:
-        return _run_fleet(args, prog="repro-serve")
-
-    import signal
-    import threading
-
-    from .service import PlannerDaemon, serve
-
-    with _telemetry(args):
-        daemon = PlannerDaemon(
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_seconds=args.breaker_reset,
-            state_dir=args.state_dir,
-            search_workers=args.search_workers,
-            timeout_per_count=args.timeout_per_count,
-            worker_memory_mb=args.worker_memory_mb,
-        ).start()
-        server = serve(daemon, host=args.host, port=args.port)
-
-        def _handle_signal(signum, _frame):
-            # serve_forever runs in this (main) thread; shutdown() must
-            # come from another one or it deadlocks on its own loop.
-            threading.Thread(
-                target=server.shutdown, daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        host, port = server.server_address[:2]
-        print(
-            f"repro-serve: listening on http://{host}:{port}",
-            flush=True,
+    try:
+        fleet_config = FleetConfig(
+            vnodes=args.vnodes,
+            retries=args.retries,
+            hedge_factor=args.hedge_factor,
+            seed=args.seed,
         )
-        try:
-            server.serve_forever(poll_interval=0.2)
-        finally:
-            daemon.drain(timeout=args.drain_timeout)
-            server.server_close()
-    return 0
+    except ValueError as exc:
+        parser.error(f"fleet router: {exc}")
 
-
-def _run_fleet(args, *, prog: str) -> int:
-    """Shared launcher behind ``repro-fleet`` and
-    ``repro-serve --replicas N``: boot N in-process planner replicas,
-    shard them behind a :class:`FleetRouter`, serve the same JSON
-    protocol on one port."""
-    import signal
-    import threading
     from pathlib import Path
 
-    from .service import FleetConfig, FleetRouter, InProcessReplica, \
-        serve_fleet
+    from .service import FleetRouter, InProcessReplica, PlannerDaemon
 
-    state_root = Path(args.state_dir) if args.state_dir else None
-    config = FleetConfig(
-        vnodes=getattr(args, "vnodes", 128),
-        retries=getattr(args, "retries", 1),
-        hedge_factor=getattr(args, "hedge_factor", 1.5),
-        seed=getattr(args, "seed", 0),
-    )
+    daemon_kwargs = {
+        "workers": args.workers,
+        "queue_limit": args.queue_limit,
+        "breaker_threshold": args.breaker_threshold,
+        "breaker_reset_seconds": args.breaker_reset,
+        "search_workers": args.search_workers,
+        "timeout_per_count": args.timeout_per_count,
+        "worker_memory_mb": args.worker_memory_mb,
+    }
     with _telemetry(args):
+        if args.replicas == 1:
+            daemon = PlannerDaemon(
+                state_dir=args.state_dir, **daemon_kwargs
+            ).start()
+            _serve_until_signal(
+                args, daemon,
+                lambda: daemon.drain(timeout=args.drain_timeout),
+            )
+            return 0
+        state_root = Path(args.state_dir) if args.state_dir else None
         replicas = {}
         for index in range(args.replicas):
             name = f"replica-{index}"
             replicas[name] = InProcessReplica(
                 name,
                 state_dir=state_root / name if state_root else None,
-                daemon_kwargs={
-                    "workers": args.workers,
-                    "queue_limit": args.queue_limit,
-                    "breaker_threshold": args.breaker_threshold,
-                    "breaker_reset_seconds": args.breaker_reset,
-                    "search_workers": args.search_workers,
-                    "timeout_per_count": args.timeout_per_count,
-                    "worker_memory_mb": args.worker_memory_mb,
-                },
+                daemon_kwargs=daemon_kwargs,
+                drain_timeout=args.drain_timeout,
             ).start()
         router = FleetRouter(
             replicas,
-            config=config,
+            config=fleet_config,
             state_path=(
                 state_root / "fleet.fleet.json" if state_root else None
             ),
         ).start()
-        server = serve_fleet(router, host=args.host, port=args.port)
-
-        def _handle_signal(signum, _frame):
-            threading.Thread(
-                target=server.shutdown, daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        host, port = server.server_address[:2]
-        print(
-            f"{prog}: fleet of {args.replicas} replicas listening on "
-            f"http://{host}:{port}",
-            flush=True,
+        _serve_until_signal(
+            args, router, router.stop,
+            what=f"fleet of {args.replicas} replicas ",
         )
-        try:
-            server.serve_forever(poll_interval=0.2)
-        finally:
-            router.stop(close_replicas=True)
-            server.server_close()
     return 0
-
-
-def fleet_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``repro-fleet``: N planner replicas behind a
-    consistent-hash router with failover, hedging, coalescing, and
-    graceful degradation — one port, same JSON protocol as
-    ``repro-serve``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet",
-        description="Resilient planner fleet: consistent-hash sharding "
-        "across N planner replicas with failover and hedged requests",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8348,
-        help="TCP port (0 picks a free one; default 8348)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="planner replicas behind the router (default 2)",
-    )
-    parser.add_argument(
-        "--vnodes",
-        type=int,
-        default=128,
-        help="virtual nodes per replica on the hash ring (default 128)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="transport retries per replica before failover (default 1)",
-    )
-    parser.add_argument(
-        "--hedge-factor",
-        type=float,
-        default=1.5,
-        help="hedge a request once its replica exceeds p99 × this "
-        "(default 1.5)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic retry jitter (default 0)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="planner worker threads per replica (default 2)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=8,
-        help="per-replica queued requests before 429 (default 8)",
-    )
-    parser.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help="root directory for per-replica state and the fleet "
-        "state artifact",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        help="consecutive failures before a config's breaker opens",
-    )
-    parser.add_argument(
-        "--breaker-reset", type=float, default=30.0, metavar="SECONDS",
-        help="open-breaker cool-down before a half-open probe",
-    )
-    parser.add_argument(
-        "--search-workers", type=int, default=1,
-        help="stage-count subprocesses per request (default 1)",
-    )
-    parser.add_argument(
-        "--timeout-per-count", type=float, default=None,
-        metavar="SECONDS",
-        help="kill and retry any stage-count worker exceeding this",
-    )
-    parser.add_argument(
-        "--worker-memory-mb", type=float, default=None, metavar="MB",
-        help="address-space cap per stage-count worker",
-    )
-    _add_telemetry_flags(parser)
-    args = parser.parse_args(argv)
-    if args.replicas < 1:
-        parser.error("--replicas must be >= 1")
-    if args.worker_memory_mb is not None and args.worker_memory_mb <= 0:
-        parser.error("--worker-memory-mb must be positive")
-    return _run_fleet(args, prog="repro-fleet")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ from ..codec import CodecError, json_keys
 from ..core.checkpoint import SearchCheckpoint, StoredResult
 from ..parallel.config import ParallelConfig
 from ..parallel.stage import StageConfig
-from ..telemetry.bus import Event
+from ..telemetry.sinks import check_run_log_line
 from .diagnostics import Diagnostic
 
 #: Fingerprints are the first 16 hex digits of a sha256.
@@ -45,7 +45,6 @@ _CACHE_KEYS = frozenset(("plan", "objective", "model", "gpus"))
 _CACHE_OPTIONAL_KEYS = frozenset(("strategy",))
 _CHECKPOINT_KEYS = frozenset(json_keys(SearchCheckpoint))
 _RESULT_KEYS = frozenset(json_keys(StoredResult))
-_RUN_LOG_KEYS = json_keys(Event)
 
 
 def _is_fingerprint(text: str) -> bool:
@@ -438,10 +437,14 @@ def lint_journal_file(path: Union[str, Path]) -> List[Diagnostic]:
 # telemetry run logs (ACE34x)
 # ----------------------------------------------------------------------
 def lint_run_log_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Collect-all twin of ``repro.telemetry.validate_run_log``.
+    """Collect-all lint of a JSONL run log.
 
-    Adds the registry check the raise-first validator cannot do: every
-    event name must come from :mod:`repro.telemetry.events` (ACE343).
+    Every line's schema problems from
+    :func:`repro.telemetry.check_run_log_line` (ACE340 for a blank or
+    non-JSON line, ACE341 otherwise), then what the raise-first
+    ``validate_run_log`` does not check: the event kind (ACE342), the
+    name's registration in :mod:`repro.telemetry.events` (ACE343) and
+    the ``fleet.*`` cross-event invariants (ACE41x).
     """
     from ..telemetry import events as registry
 
@@ -458,46 +461,15 @@ def lint_run_log_file(path: Union[str, Path]) -> List[Diagnostic]:
         )]
     for lineno, line in enumerate(lines, start=1):
         loc = f"{path}:{lineno}"
-        if not line.strip():
-            out.append(Diagnostic(
-                "ACE340", "blank line in run log", location=loc,
-            ))
+        data, problems = check_run_log_line(line)
+        out.extend(
+            Diagnostic(
+                "ACE340" if syntax else "ACE341", message, location=loc,
+            )
+            for syntax, message in problems
+        )
+        if data is None:
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            out.append(Diagnostic(
-                "ACE340", f"invalid JSON: {exc}", location=loc,
-            ))
-            continue
-        if not isinstance(data, dict):
-            out.append(Diagnostic(
-                "ACE341", "event must be a JSON object", location=loc,
-            ))
-            continue
-        missing = [key for key in _RUN_LOG_KEYS if key not in data]
-        if missing:
-            out.append(Diagnostic(
-                "ACE341", f"missing keys {missing}", location=loc,
-            ))
-            continue
-        if not isinstance(data["name"], str) or not data["name"]:
-            out.append(Diagnostic(
-                "ACE341", "name must be a non-empty string", location=loc,
-            ))
-            continue
-        if not isinstance(data["ts"], (int, float)) or data["ts"] < 0:
-            out.append(Diagnostic(
-                "ACE341", "ts must be a non-negative number", location=loc,
-            ))
-        if not isinstance(data["pid"], int):
-            out.append(Diagnostic(
-                "ACE341", "pid must be an int", location=loc,
-            ))
-        if not isinstance(data["attrs"], dict):
-            out.append(Diagnostic(
-                "ACE341", "attrs must be an object", location=loc,
-            ))
         kind = data["kind"]
         if kind not in _EVENT_KINDS:
             out.append(Diagnostic(

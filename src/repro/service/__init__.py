@@ -17,12 +17,11 @@ composition:
   the crash-safe, deadline-aware stage-count search;
 - :class:`~repro.service.daemon.PlannerDaemon` — the composition, with
   watchdog, request journal, coalescing, and SIGTERM drain;
-- :func:`~repro.service.httpd.serve` — the stdlib HTTP front-end
-  (``repro-serve``);
 - :class:`~repro.service.ring.HashRing` /
   :class:`~repro.service.fleet.FleetRouter` — consistent-hash sharding
-  across replicas with failover, hedging, and graceful degradation
-  (``repro-fleet``);
+  across replicas with failover, hedging, and graceful degradation;
+- :func:`~repro.service.httpd.serve` — the one stdlib HTTP front-end,
+  bound to a daemon or a router (``repro-serve [--replicas N]``);
 - :mod:`~repro.service.chaos` — the seeded kill/restart harness that
   proves the fleet loses nothing.
 """
@@ -41,12 +40,10 @@ from .chaos import (
 from .daemon import PlannerDaemon, Ticket, TicketTimeout
 from .fleet import (
     FleetConfig,
-    FleetHTTPServer,
     FleetRouter,
     HTTPReplicaClient,
     LocalReplicaClient,
     ReplicaError,
-    serve_fleet,
 )
 from .httpd import PlannerHTTPServer, serve
 from .planner import PlanOutcome, plan_digest, plan_request
@@ -70,7 +67,6 @@ __all__ = [
     "ChaosReport",
     "CircuitBreaker",
     "FleetConfig",
-    "FleetHTTPServer",
     "FleetRouter",
     "HTTPReplicaClient",
     "HashRing",
@@ -98,6 +94,5 @@ __all__ = [
     "run_chaos",
     "seeded_schedule",
     "serve",
-    "serve_fleet",
     "synthetic_planner",
 ]

@@ -153,11 +153,14 @@ class InProcessReplica:
         state_dir: Optional[Path] = None,
         planner: Optional[Callable] = None,
         daemon_kwargs: Optional[dict] = None,
+        drain_timeout: float = 5.0,
     ) -> None:
         self.name = name
         self.state_dir = Path(state_dir) if state_dir else None
         self._planner = planner
         self._daemon_kwargs = dict(daemon_kwargs or {})
+        #: Seconds :meth:`close` lets in-flight searches checkpoint.
+        self.drain_timeout = drain_timeout
         self._client: Optional[LocalReplicaClient] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -215,7 +218,7 @@ class InProcessReplica:
         client = self._client
         self._client = None
         if client is not None:
-            client.close()
+            client.close(self.drain_timeout)
 
 
 @dataclass
@@ -331,7 +334,7 @@ def run_chaos(
                 plan_digest(answer.plan) if answer.ok else None
             )
     finally:
-        oracle.stop()
+        oracle.drain(timeout=5.0)
     report = ChaosReport(
         total=len(responses),
         lost=sum(1 for r in responses if r is None),

@@ -130,6 +130,9 @@ class Ticket:
 class PlannerDaemon:
     """Admission-controlled, self-healing planner service."""
 
+    #: ``source`` of the HTTP front-end's events for this backend.
+    telemetry_source = "service"
+
     def __init__(
         self,
         *,
@@ -319,10 +322,6 @@ class PlannerDaemon:
         bus.emit(SERVICE_DRAIN_END, source="service", **summary)
         return summary
 
-    def stop(self) -> None:
-        """Immediate drain with no patience (tests, atexit)."""
-        self.drain(timeout=5.0)
-
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
@@ -493,16 +492,15 @@ class PlannerDaemon:
             return ticket.response
         return ticket
 
-    def invalidate_plans(self, *, gpus: Optional[int] = None) -> int:
+    def invalidate(self, *, gpus: Optional[int] = None) -> dict:
         """Drop cached plans — all, or those for a ``gpus``-sized
         cluster — because a fault plan or cluster change arrived."""
-        if gpus is None:
-            return self.cache.invalidate()
-        return self.cache.invalidate(
-            lambda _fp, entry: entry.get("gpus") == gpus
-        )
+        return {"dropped": self.cache.invalidate(
+            None if gpus is None
+            else lambda _fp, entry: entry.get("gpus") == gpus
+        )}
 
-    def apply_churn(self, event) -> dict:
+    def churn(self, event) -> dict:
         """Fold one churn event into the serving state.
 
         ``event`` is a :class:`~repro.elastic.timeline.ChurnEvent` or
@@ -516,7 +514,7 @@ class PlannerDaemon:
 
         if not isinstance(event, ChurnEvent):
             event = ChurnEvent.from_json(event)
-        dropped = self.invalidate_plans()
+        dropped = self.cache.invalidate()
         bus = get_bus()
         if bus.active:
             bus.emit(

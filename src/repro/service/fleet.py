@@ -41,7 +41,6 @@ import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -61,11 +60,9 @@ from ..telemetry.events import (
     FLEET_RING_REBUILT,
     FLEET_START,
     FLEET_STOP,
-    SERVICE_HTTP_LISTEN,
 )
 from .cache import PlanCache
 from .daemon import PlannerDaemon
-from .httpd import JSONHandler, response_status_code
 from .protocol import (
     STATUS_REJECTED,
     STATUS_SERVED,
@@ -157,15 +154,15 @@ class LocalReplicaClient:
 
     def invalidate(self, *, gpus: Optional[int] = None) -> dict:
         self._check()
-        return {"dropped": self.daemon.invalidate_plans(gpus=gpus)}
+        return self.daemon.invalidate(gpus=gpus)
 
     def churn(self, event: dict) -> dict:
         self._check()
-        return self.daemon.apply_churn(event)
+        return self.daemon.churn(event)
 
-    def close(self) -> None:
+    def close(self, drain_timeout: float = 5.0) -> None:
         if not self.killed:
-            self.daemon.stop()
+            self.daemon.drain(timeout=drain_timeout)
 
 
 class HTTPReplicaClient:
@@ -245,6 +242,9 @@ class _ReplicaState:
 # ----------------------------------------------------------------------
 class FleetRouter:
     """Consistent-hash router with failover, hedging, and degradation."""
+
+    #: ``source`` of the HTTP front-end's events for this backend.
+    telemetry_source = "fleet"
 
     def __init__(
         self,
@@ -747,12 +747,10 @@ class FleetRouter:
         """Drop shared-tier plans (demoting them to stale) and fan the
         invalidation out to every replica."""
         demoted = self._demote_to_stale()
-        if gpus is None:
-            dropped = self.cache.invalidate()
-        else:
-            dropped = self.cache.invalidate(
-                lambda _fp, entry: entry.get("gpus") == gpus
-            )
+        dropped = self.cache.invalidate(
+            None if gpus is None
+            else lambda _fp, entry: entry.get("gpus") == gpus
+        )
         per_replica = self._fanout("invalidate", {"gpus": gpus})
         return {
             "dropped": dropped,
@@ -797,7 +795,7 @@ class FleetRouter:
         return outcomes
 
     # -- introspection / persistence -----------------------------------
-    def fleet_health(self) -> dict:
+    def health(self) -> dict:
         with self._lock:
             replicas = {
                 name: {
@@ -842,97 +840,3 @@ class FleetRouter:
             "fleet": self.config.to_json(),
             "replicas": replicas,
         })
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end
-# ----------------------------------------------------------------------
-class FleetHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to a :class:`FleetRouter`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 64
-
-    def __init__(self, address, router: FleetRouter) -> None:
-        super().__init__(address, _FleetHandler)
-        self.fleet_router = router
-
-
-class _FleetHandler(JSONHandler):
-    telemetry_source = "fleet"
-
-    @property
-    def _router(self) -> FleetRouter:
-        return self.server.fleet_router  # type: ignore[attr-defined]
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send_json(200, self._router.fleet_health())
-        elif self.path == "/readyz":
-            ready = self._router.ready
-            self._send_json(200 if ready else 503, {"ready": ready})
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/plan":
-            self._handle_plan()
-        elif self.path == "/invalidate":
-            self._handle_invalidate()
-        elif self.path == "/churn":
-            self._handle_churn()
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-
-    def _handle_plan(self) -> None:
-        try:
-            request = PlanRequest.from_json(self._read_body())
-        except (ProtocolError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        response = self._router.submit(request)
-        self._send_json(
-            response_status_code(response),
-            response.to_json(),
-            retry_after=response.retry_after,
-        )
-
-    def _handle_invalidate(self) -> None:
-        try:
-            body = self._read_body()
-        except (ProtocolError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        gpus = body.get("gpus")
-        if gpus is not None and not isinstance(gpus, int):
-            self._send_json(400, {"error": "gpus must be an integer"})
-            return
-        self._send_json(200, self._router.invalidate(gpus=gpus))
-
-    def _handle_churn(self) -> None:
-        try:
-            body = self._read_body()
-            result = self._router.churn(body)
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        self._send_json(200, result)
-
-
-def serve_fleet(
-    router: FleetRouter,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8348,
-) -> FleetHTTPServer:
-    """Bind (without blocking) and return the server; the caller runs
-    ``serve_forever`` and owns shutdown ordering."""
-    server = FleetHTTPServer((host, port), router)
-    get_bus().emit(
-        SERVICE_HTTP_LISTEN,
-        source="fleet",
-        host=host,
-        port=server.server_address[1],
-    )
-    return server

@@ -1,8 +1,9 @@
-"""HTTP front-end for the planner daemon (stdlib only).
+"""HTTP front-end for the planner daemon and the fleet (stdlib only).
 
-A thin :mod:`http.server` layer over :class:`PlannerDaemon` — all
-policy (admission, breaker, cache, deadlines) lives in the daemon; this
-module only maps the JSON protocol onto status codes:
+A thin :mod:`http.server` layer over a planner backend — a
+:class:`PlannerDaemon` or a :class:`~repro.service.fleet.FleetRouter`.
+All policy (admission, breaker, cache, deadlines, routing) lives in the
+backend; this module only maps the JSON protocol onto status codes:
 
 ==========================  =====================================
 ``POST /plan``              200 served/partial, 400 bad request,
@@ -11,14 +12,16 @@ module only maps the JSON protocol onto status codes:
 ``GET /healthz``            always 200; body carries
                             healthy/degraded detail
 ``GET /readyz``             200 ready / 503 draining or stopped
-``POST /invalidate``        200, body ``{"dropped": N}``
-``POST /churn``             200, body ``{"kind", "dropped"}``;
+``POST /invalidate``        200, body ``{"dropped": N, ...}``
+``POST /churn``             200, body ``{"dropped", ...}``;
                             400 invalid event
 ==========================  =====================================
 
 ``ThreadingHTTPServer`` gives one thread per connection, so a slow
 search never blocks ``/healthz`` — the daemon's own worker pool and
-admission queue bound the actual planning concurrency.
+admission queue bound the actual planning concurrency.  Access-log and
+listen events carry the backend's ``telemetry_source`` (``service`` or
+``fleet``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Optional
 
 from ..telemetry import get_bus
 from ..telemetry.events import SERVICE_HTTP_ACCESS, SERVICE_HTTP_LISTEN
-from .daemon import PlannerDaemon
 from .protocol import (
     STATUS_REJECTED,
     STATUS_SERVED,
@@ -46,8 +48,7 @@ _STATUS_CODES = {
 
 
 def response_status_code(response) -> int:
-    """HTTP code for a terminal :class:`PlanResponse` (shared by the
-    daemon front-end and the fleet router front-end)."""
+    """HTTP code for a terminal :class:`PlanResponse`."""
     code = _STATUS_CODES.get(response.status, 500)
     if response.status == STATUS_REJECTED and response.diagnostics:
         # Admission lint rejected the request as invalid: that is a
@@ -58,7 +59,8 @@ def response_status_code(response) -> int:
 
 
 class PlannerHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to a :class:`PlannerDaemon`."""
+    """HTTP server bound to a planner backend: a :class:`PlannerDaemon`
+    or a :class:`~repro.service.fleet.FleetRouter`."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -67,25 +69,27 @@ class PlannerHTTPServer(ThreadingHTTPServer):
     # clamps this to somaxconn.
     request_queue_size = 64
 
-    def __init__(self, address, daemon: PlannerDaemon) -> None:
+    def __init__(self, address, backend) -> None:
         super().__init__(address, _Handler)
-        self.planner_daemon = daemon
+        self.backend = backend
 
 
-class JSONHandler(BaseHTTPRequestHandler):
-    """Shared JSON-over-HTTP plumbing (telemetry access log, typed
-    bodies) for the daemon front-end and the fleet router front-end."""
+class _Handler(BaseHTTPRequestHandler):
+    """JSON routes over the backend's ``submit``, ``health()``,
+    ``ready``, ``invalidate(gpus=)`` and ``churn(event)``."""
 
     protocol_version = "HTTP/1.1"
-    #: Telemetry source tag for access-log events.
-    telemetry_source = "service"
+
+    @property
+    def _backend(self):
+        return self.server.backend  # type: ignore[attr-defined]
 
     def log_message(self, fmt: str, *args) -> None:
         # Route access logs onto the telemetry bus instead of stderr so
-        # the daemon run log is the single source of truth.
+        # the run log is the single source of truth.
         get_bus().emit(
             SERVICE_HTTP_ACCESS,
-            source=self.telemetry_source,
+            source=self._backend.telemetry_source,
             client=self.address_string(),
             line=fmt % args,
         )
@@ -111,18 +115,12 @@ class JSONHandler(BaseHTTPRequestHandler):
             raise ProtocolError("request body must be a JSON object")
         return payload
 
-
-class _Handler(JSONHandler):
-    @property
-    def _daemon(self) -> PlannerDaemon:
-        return self.server.planner_daemon  # type: ignore[attr-defined]
-
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
-            self._send_json(200, self._daemon.health())
+            self._send_json(200, self._backend.health())
         elif self.path == "/readyz":
-            ready = self._daemon.ready
+            ready = self._backend.ready
             self._send_json(200 if ready else 503, {"ready": ready})
         else:
             self._send_json(404, {"error": f"no such path: {self.path}"})
@@ -143,10 +141,9 @@ class _Handler(JSONHandler):
         except (ProtocolError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        response = self._daemon.submit(request)
-        code = response_status_code(response)
+        response = self._backend.submit(request)
         self._send_json(
-            code,
+            response_status_code(response),
             response.to_json(),
             retry_after=response.retry_after,
         )
@@ -161,15 +158,14 @@ class _Handler(JSONHandler):
         if gpus is not None and not isinstance(gpus, int):
             self._send_json(400, {"error": "gpus must be an integer"})
             return
-        dropped = self._daemon.invalidate_plans(gpus=gpus)
-        self._send_json(200, {"dropped": dropped})
+        self._send_json(200, self._backend.invalidate(gpus=gpus))
 
     def _handle_churn(self) -> None:
         """One churn event (``ChurnEvent`` JSON): stale plans drop,
         service keeps answering ``/plan`` against the new conditions."""
         try:
             body = self._read_body()
-            result = self._daemon.apply_churn(body)
+            result = self._backend.churn(body)
         except (ProtocolError, KeyError, TypeError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
@@ -177,17 +173,19 @@ class _Handler(JSONHandler):
 
 
 def serve(
-    daemon: PlannerDaemon,
+    backend,
     *,
     host: str = "127.0.0.1",
     port: int = 8347,
 ) -> PlannerHTTPServer:
-    """Bind (without blocking) and return the server; the caller runs
-    ``serve_forever`` and owns shutdown ordering."""
-    server = PlannerHTTPServer((host, port), daemon)
+    """Bind ``backend`` (a :class:`PlannerDaemon` or a
+    :class:`~repro.service.fleet.FleetRouter`) without blocking and
+    return the server; the caller runs ``serve_forever`` and owns
+    shutdown ordering."""
+    server = PlannerHTTPServer((host, port), backend)
     get_bus().emit(
         SERVICE_HTTP_LISTEN,
-        source="service",
+        source=backend.telemetry_source,
         host=host,
         port=server.server_address[1],
     )

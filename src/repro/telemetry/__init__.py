@@ -44,6 +44,7 @@ from .sinks import (
     ConsoleSink,
     JsonlSink,
     RingBufferSink,
+    check_run_log_line,
     events_to_jsonl,
     read_run_log,
     validate_run_log,
@@ -70,6 +71,7 @@ __all__ = [
     "Span",
     "TelemetryBus",
     "WARNING",
+    "check_run_log_line",
     "chrome_trace_from_events",
     "chrome_trace_from_tasks",
     "events_to_jsonl",

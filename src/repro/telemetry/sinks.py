@@ -13,7 +13,9 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..codec import json_keys
 from .bus import LEVEL_NAMES, Event
@@ -132,41 +134,54 @@ def read_run_log(path: Union[str, Path]) -> List[Event]:
     return events
 
 
+def check_run_log_line(
+    line: str,
+) -> Tuple[Optional[dict], List[Tuple[bool, str]]]:
+    """Schema-check one run-log line against :data:`RUN_LOG_KEYS`.
+
+    Returns ``(event, problems)``.  Each problem is ``(syntax,
+    message)``, ``syntax`` true for a blank or non-JSON line.  ``event``
+    is the decoded object once it is an object with every key and a
+    name — a bad ``ts``, ``pid`` or ``attrs`` is reported but leaves it
+    usable — and ``None`` otherwise.
+    """
+    line = line.strip()
+    if not line:
+        return None, [(True, "blank line in run log")]
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return None, [(True, f"invalid JSON: {exc}")]
+    if not isinstance(data, dict):
+        return None, [(False, "event must be an object")]
+    missing = [key for key in RUN_LOG_KEYS if key not in data]
+    if missing:
+        return None, [(False, f"missing keys {missing}")]
+    if not isinstance(data["name"], str) or not data["name"]:
+        return None, [(False, "name must be a string")]
+    problems = []
+    if not isinstance(data["ts"], (int, float)) or data["ts"] < 0:
+        problems.append((False, "ts must be a non-negative number"))
+    if not isinstance(data["pid"], int):
+        problems.append((False, "pid must be an int"))
+    if not isinstance(data["attrs"], dict):
+        problems.append((False, "attrs must be an object"))
+    return data, problems
+
+
 def validate_run_log(path: Union[str, Path]) -> List[Event]:
     """Strictly validate a JSONL run log; returns the parsed events.
 
-    Every line must be a standalone JSON object carrying the full
-    schema (:data:`RUN_LOG_KEYS`) with JSON-serializable attrs and a
-    non-negative timestamp.  Raises ``ValueError`` with the offending
-    line number on the first violation.
+    Every line must pass :func:`check_run_log_line`.  Raises
+    ``ValueError`` with the offending line number on the first
+    violation.
     """
     events: List[Event] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                raise ValueError(f"line {lineno}: blank line in run log")
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc}")
-            if not isinstance(data, dict):
-                raise ValueError(f"line {lineno}: event must be an object")
-            missing = [key for key in RUN_LOG_KEYS if key not in data]
-            if missing:
-                raise ValueError(
-                    f"line {lineno}: missing keys {missing}"
-                )
-            if not isinstance(data["name"], str) or not data["name"]:
-                raise ValueError(f"line {lineno}: name must be a string")
-            if not isinstance(data["ts"], (int, float)) or data["ts"] < 0:
-                raise ValueError(
-                    f"line {lineno}: ts must be a non-negative number"
-                )
-            if not isinstance(data["pid"], int):
-                raise ValueError(f"line {lineno}: pid must be an int")
-            if not isinstance(data["attrs"], dict):
-                raise ValueError(f"line {lineno}: attrs must be an object")
+            data, problems = check_run_log_line(line)
+            if problems:
+                raise ValueError(f"line {lineno}: {problems[0][1]}")
             events.append(Event.from_json(data))
     return events
 

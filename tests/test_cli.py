@@ -69,9 +69,17 @@ class TestSearchMain:
         assert ", critical path " in line
         assert "search cost" not in line
 
-    def test_bad_model_raises(self):
-        with pytest.raises(KeyError):
+    def test_bad_model_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             search_main(["--model", "bogus-1b", "--iterations", "1"])
+        assert exit_info.value.code == 2
+        assert "unknown model 'bogus-1b'" in capsys.readouterr().err
+
+    def test_unbuildable_gpus_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            search_main(["--model", "gpt-4l", "--gpus", "12"])
+        assert exit_info.value.code == 2
+        assert "--gpus 12: multi-node clusters" in capsys.readouterr().err
 
 
 class TestEstimateMain:
@@ -96,7 +104,6 @@ class TestEstimateMain:
 
     def test_wrong_cluster_rejected(self, tmp_path, capsys):
         from repro.cli import estimate_main, search_main
-        from repro.parallel import ConfigError
 
         plan = tmp_path / "plan.json"
         search_main(
@@ -106,10 +113,14 @@ class TestEstimateMain:
             ]
         )
         capsys.readouterr()
-        with pytest.raises(ConfigError):
-            estimate_main(
-                ["--model", "gpt3-350m", "--gpus", "4", str(plan)]
-            )
+        code = estimate_main(
+            ["--model", "gpt3-350m", "--gpus", "4", str(plan)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "repro-estimate: plan does not fit gpt3-350m on 4 GPUs: "
+        )
 
     def test_malformed_plan_exits_cleanly(self, tmp_path, capsys):
         from repro.cli import estimate_main
@@ -149,3 +160,23 @@ class TestCompareMain:
         out = capsys.readouterr().out
         assert "system" in out
         assert "aceso" in out
+
+
+class TestEntryPoints:
+    """Every ``[project.scripts]`` line resolves and answers --help."""
+
+    def test_every_script_imports_and_prints_help(self, capsys):
+        import importlib
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert "repro-serve" in scripts
+        for name, target in sorted(scripts.items()):
+            module, _, attr = target.partition(":")
+            main = getattr(importlib.import_module(module), attr)
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0, name
+            assert "usage:" in capsys.readouterr().out, name

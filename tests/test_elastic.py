@@ -904,7 +904,7 @@ class TestChurnServing:
 
         daemon = PlannerDaemon(workers=1)
         try:
-            result = daemon.apply_churn(
+            result = daemon.churn(
                 ChurnEvent(1.0, "link_degrade", scope="intra", factor=0.5)
             )
             assert result == {"kind": "link_degrade", "dropped": 0}

@@ -42,7 +42,7 @@ from repro.service import (
     plan_digest,
     run_chaos,
     seeded_schedule,
-    serve_fleet,
+    serve,
     synthetic_planner,
 )
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
@@ -435,7 +435,7 @@ class TestFleetRouter:
     def test_fleet_health_and_ready(self, tmp_path):
         router, replicas = self._local_fleet(tmp_path, n=2)
         try:
-            health = router.fleet_health()
+            health = router.health()
             assert health["status"] == "healthy"
             assert set(health["replicas"]) == {"r0", "r1"}
             assert router.ready
@@ -681,7 +681,7 @@ class TestFleetHTTP:
         router = FleetRouter(
             dict(replicas), config=_fleet_config()
         ).start()
-        server = serve_fleet(router, host="127.0.0.1", port=0)
+        server = serve(router, host="127.0.0.1", port=0)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -716,3 +716,63 @@ class TestFleetHTTP:
             thread.join(timeout=5)
             router.stop()
             server.server_close()
+
+
+class TestServeLauncher:
+    """``repro-serve`` drains every daemon it started with
+    ``--drain-timeout``, one daemon or a fleet of them."""
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_shutdown_drains_with_drain_timeout(
+        self, monkeypatch, capsys, replicas
+    ):
+        import signal
+
+        from repro.cli import serve_main
+
+        handlers = {}
+        monkeypatch.setattr(
+            signal, "signal",
+            lambda signum, handler: handlers.__setitem__(signum, handler),
+        )
+        drained = []
+        real_drain = PlannerDaemon.drain
+
+        def recording_drain(daemon, timeout=30.0):
+            drained.append(timeout)
+            return real_drain(daemon, timeout=timeout)
+
+        monkeypatch.setattr(PlannerDaemon, "drain", recording_drain)
+
+        def sigterm_once_installed():
+            deadline = time.monotonic() + 30
+            while signal.SIGTERM not in handlers:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            handlers[signal.SIGTERM](signal.SIGTERM, None)
+
+        stopper = threading.Thread(
+            target=sigterm_once_installed, daemon=True
+        )
+        stopper.start()
+        code = serve_main([
+            "--port", "0", "--replicas", str(replicas),
+            "--drain-timeout", "7.5", "--quiet",
+        ])
+        stopper.join(timeout=5)
+        assert code == 0
+        assert drained == [7.5] * replicas
+        assert "listening on http://" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--replicas", "0"],
+        ["--replicas", "2", "--vnodes", "0"],
+        ["--replicas", "2", "--hedge-factor", "0"],
+    ])
+    def test_bad_flags_are_usage_errors(self, capsys, flags):
+        from repro.cli import serve_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(["--port", "0", "--quiet", *flags])
+        assert exit_info.value.code == 2
+        assert "repro-serve: error:" in capsys.readouterr().err
