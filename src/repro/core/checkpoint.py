@@ -142,30 +142,29 @@ class SearchCheckpoint:
         is returned so the caller starts a fresh search.  A missing
         file also returns ``None`` (nothing to quarantine).
         """
-        from ..telemetry import WARNING, get_bus
-        from ..telemetry.events import CHECKPOINT_CORRUPT
-
         path = Path(path)
         if not path.exists():
             return None
         try:
             return cls.load(path)
         except CheckpointError as exc:
-            quarantine = path.with_name(path.name + ".corrupt")
-            quarantined = True
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                quarantined = False
-            get_bus().emit(
-                CHECKPOINT_CORRUPT,
-                source="checkpoint",
-                level=WARNING,
-                path=str(path),
-                quarantined_to=str(quarantine) if quarantined else None,
-                error=str(exc),
-            )
+            _quarantine(path, str(exc))
             return None
+
+    def quarantine_if_foreign(self, graph, cluster) -> bool:
+        """Quarantine (like an undecodable file) and return True when a
+        stored ``best_config`` fails ``validate_config`` for ``graph``
+        on ``cluster``: the file holds another search's plan, which a
+        resume would otherwise return as this search's best."""
+        from ..parallel.validation import ConfigError, validate_config
+
+        for count, stored in sorted(self.completed.items()):
+            try:
+                validate_config(stored.best_config, graph, cluster)
+            except ConfigError as exc:
+                _quarantine(self.path, f"completed[{count}]: {exc}")
+                return True
+        return False
 
     def save(self) -> None:
         """Atomic write (temp file + rename) so a crash mid-write never
@@ -239,3 +238,25 @@ class SearchCheckpoint:
             )
             for count in sorted(self.completed)
         ]
+
+
+def _quarantine(path: Path, error: str) -> None:
+    """Move an unusable checkpoint to ``<path>.corrupt`` (kept for
+    post-mortems) and emit one ``checkpoint.corrupt`` event."""
+    from ..telemetry import WARNING, get_bus
+    from ..telemetry.events import CHECKPOINT_CORRUPT
+
+    quarantine = path.with_name(path.name + ".corrupt")
+    quarantined = True
+    try:
+        os.replace(path, quarantine)
+    except OSError:
+        quarantined = False
+    get_bus().emit(
+        CHECKPOINT_CORRUPT,
+        source="checkpoint",
+        level=WARNING,
+        path=str(path),
+        quarantined_to=str(quarantine) if quarantined else None,
+        error=error,
+    )

@@ -40,7 +40,7 @@ from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
-from ..telemetry import WARNING, CallbackSink, Event, get_bus
+from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
     DRIVER_BEGIN,
     DRIVER_COUNT_COMPLETED,
@@ -57,7 +57,7 @@ from .bottleneck import rank_bottlenecks
 from .budget import Deadline, SearchBudget
 from .finetune import finetune
 from .multihop import MultiHopSearcher
-from .pool import PoolWorker, WorkerPool, _apply_worker_memory_limit  # noqa: F401 - re-export
+from .pool import PoolWorker, WorkerPool
 from .searcher import (
     SearchContext,
     Searcher,
@@ -422,8 +422,23 @@ def default_stage_counts(graph: OpGraph, cluster: ClusterSpec) -> List[int]:
     return counts
 
 
+def _search_count(
+    graph, cluster, perf_model, count, strategy, options, budget_kwargs,
+    deadline: Optional[Deadline],
+) -> StageCountResult:
+    """Search one stage count from its balanced start: the driver's one
+    per-count search call.  The serial loop passes the caller's shared
+    :class:`PerfModel`, pool workers a fresh one."""
+    init = balanced_config(graph, cluster, count)
+    search = get_searcher_class(strategy)(
+        graph, cluster, perf_model, options=options
+    )
+    result = search.run(init, SearchBudget(**budget_kwargs), deadline=deadline)
+    return StageCountResult(num_stages=count, result=result)
+
+
 def _stage_count_worker(payload: tuple) -> StageCountResult:
-    """Search one stage count in a fresh process.
+    """Search one stage count in a pool worker.
 
     Module-level so it pickles; rebuilds a :class:`PerfModel` from the
     (picklable) graph/cluster/database because live models carry cache
@@ -433,16 +448,11 @@ def _stage_count_worker(payload: tuple) -> StageCountResult:
     (graph, cluster, database, count, options, budget_kwargs,
      model_kwargs, deadline_seconds, strategy) = payload
     perf_model = PerfModel(graph, cluster, database, **model_kwargs)
-    init = balanced_config(graph, cluster, count)
-    searcher_cls = get_searcher_class(strategy)
-    search = searcher_cls(graph, cluster, perf_model, options=options)
     deadline = (
         None if deadline_seconds is None else Deadline(deadline_seconds)
     )
-    result = search.run(
-        init, SearchBudget(**budget_kwargs), deadline=deadline
-    )
-    return StageCountResult(num_stages=count, result=result)
+    return _search_count(graph, cluster, perf_model, count, strategy,
+                         options, budget_kwargs, deadline)
 
 
 def _payload_from_task(shared: tuple, task: Tuple[int, Optional[float]]):
@@ -473,20 +483,102 @@ def _failure_kind_from_error(error: str) -> str:
     return "error"
 
 
+@dataclass
+class _CountLedger:
+    """Per-count outcomes of one driver run, shared by both paths.
+
+    The serial loop and the pool scheduler report every attempt here.
+    The ledger decides retry-or-fail, emits the ``driver.count.*`` and
+    ``driver.worker.retry`` events, and records finished counts straight
+    into this run's checkpoint, never through the shared telemetry bus,
+    whose sinks see every concurrent search's events.
+    """
+
+    bus: object
+    checkpoint: Optional[object]
+    max_retries: int
+    retry_backoff: float
+    jitter_seed: int
+    deadline: Optional[Deadline]
+    results: dict = field(default_factory=dict)
+    failures: dict = field(default_factory=dict)
+
+    def complete(self, run: StageCountResult, attempt: int) -> None:
+        self.results[run.num_stages] = run
+        self.bus.emit(
+            DRIVER_COUNT_COMPLETED,
+            source="driver",
+            num_stages=run.num_stages,
+            attempt=attempt,
+        )
+        # A deadline-cut plan is best-so-far, not the budget's answer;
+        # resuming must re-search it.
+        if self.checkpoint is not None and not run.result.partial:
+            self.checkpoint.record_run(run)
+
+    def fail(
+        self, count: int, attempt: int, error: str, kind: str = "error"
+    ) -> Optional[float]:
+        """Record a failed attempt.
+
+        Returns the backoff to wait before retrying the count, or
+        ``None`` once its retry budget (or the deadline) is spent and
+        the count has become a :class:`SearchFailure`.
+        """
+        out_of_time = self.deadline is not None and self.deadline.expired()
+        if attempt < self.max_retries and not out_of_time:
+            delay = retry_delay(
+                self.retry_backoff, count, attempt, self.jitter_seed
+            )
+            self.bus.emit(
+                DRIVER_WORKER_RETRY,
+                source="driver",
+                level=WARNING,
+                num_stages=count,
+                attempt=attempt,
+                delay=delay,
+                error=error,
+            )
+            return delay
+        self._give_up(SearchFailure(
+            num_stages=count, error=error, attempts=attempt + 1, kind=kind
+        ))
+        return None
+
+    def shed(self, count: int, attempts: int) -> None:
+        """Fail a count the deadline left no time to search."""
+        self._give_up(SearchFailure(
+            num_stages=count,
+            error="deadline expired before this stage count was searched",
+            attempts=attempts,
+            kind="deadline",
+        ))
+
+    def _give_up(self, failure: SearchFailure) -> None:
+        self.failures[failure.num_stages] = failure
+        self.bus.emit(
+            DRIVER_COUNT_FAILED,
+            source="driver",
+            level=WARNING,
+            num_stages=failure.num_stages,
+            attempts=failure.attempts,
+            error=failure.error,
+            failure_kind=failure.kind,
+        )
+        if self.checkpoint is not None:
+            self.checkpoint.record_failure(failure)
+
+
 def _run_counts_in_pool(
     counts: Sequence[int],
     task_for,
     worker_fn,
     payload_builder,
+    ledger: _CountLedger,
     *,
     max_workers: int,
     timeout_per_count: Optional[float],
-    max_retries: int,
-    retry_backoff: float,
-    jitter_seed: int = 0,
-    deadline: Optional[Deadline] = None,
     worker_memory_mb: Optional[float] = None,
-    bus=None,
 ):
     """Self-healing scheduler over a persistent worker pool.
 
@@ -499,39 +591,33 @@ def _run_counts_in_pool(
     takes every pending future with it — each pool worker owns a
     private pipe, so a worker that crashes or blows its per-count
     deadline is discarded *individually* and lazily replaced; tasks
-    that raise cleanly keep their worker alive for reuse.  A failed
-    count is retried with jittered exponential backoff
-    (:func:`retry_delay`) up to ``max_retries`` extra attempts; the
-    other counts never notice.  Returns ``(results, failures, stats)``
-    — the first two keyed by stage count, ``stats`` a dict with the
-    pool's process ``forks`` and dispatched ``tasks`` counts (tasks
-    exceeding forks is the pool's reuse at work).
+    that raise cleanly keep their worker alive for reuse.  Each
+    attempt's outcome goes to ``ledger``; a failed count it hands back
+    a backoff for is requeued behind that delay, and the other counts
+    never notice.  Returns a dict with the pool's process ``forks`` and
+    dispatched ``tasks`` counts (tasks exceeding forks is the pool's
+    reuse at work).
 
-    A request ``deadline`` turns the scheduler anytime: workers search
-    cooperatively against the remaining time, queued counts are shed as
-    ``kind="deadline"`` failures once it expires, and a watchdog reaps
-    any worker still running a task ``DEADLINE_KILL_GRACE`` seconds
-    past it — workers are only ever forked on first dispatch, so an
-    already-expired deadline forks nothing.  ``worker_memory_mb``
+    The ledger's request ``deadline`` turns the scheduler anytime:
+    workers search cooperatively against the remaining time, queued
+    counts are shed as ``kind="deadline"`` failures once it expires,
+    and a watchdog reaps any worker still running a task
+    ``DEADLINE_KILL_GRACE`` seconds past it — workers are only ever
+    forked on first dispatch, so an already-expired deadline forks
+    nothing.  ``worker_memory_mb``
     applies an ``RLIMIT_AS`` cap inside each pool worker so a runaway
     count surfaces as ``kind="oom"``.
 
-    Worker lifecycle (dispatch / retry / timeout / crash / completion)
-    is published on the telemetry ``bus`` with the same event
-    vocabulary as the old process-per-count scheduler
-    (``driver.worker.spawn`` now marks a task dispatch, carrying the
-    pool worker's pid), plus ``driver.pool.worker_start`` /
-    ``driver.pool.worker_exit`` for actual process churn.  Completed
-    and finally-failed counts carry their payload objects in private
-    ``_result`` / ``_failure`` attrs for in-process subscribers
-    (checkpointing), and each worker's own captured event stream is
-    re-emitted with ``num_stages``/``attempt`` attribution.
+    Worker lifecycle (dispatch / timeout / crash / error) is published
+    on the ledger's telemetry bus (``driver.worker.spawn`` marks a task
+    dispatch, carrying the pool worker's pid), plus
+    ``driver.pool.worker_start`` / ``driver.pool.worker_exit`` for
+    actual process churn, and each worker's own captured event stream
+    is re-emitted with ``num_stages``/``attempt`` attribution.
     """
-    bus = bus if bus is not None else get_bus()
+    bus, deadline = ledger.bus, ledger.deadline
     queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
     active: dict = {}
-    results: dict = {}
-    failures: dict = {}
     dispatched = 0
     pool = WorkerPool(
         worker_fn,
@@ -552,57 +638,9 @@ def _run_counts_in_pool(
     def register_failure(
         count: int, attempt: int, error: str, kind: str = "error"
     ) -> None:
-        out_of_time = deadline is not None and deadline.expired()
-        if attempt < max_retries and not out_of_time:
-            delay = retry_delay(retry_backoff, count, attempt, jitter_seed)
+        delay = ledger.fail(count, attempt, error, kind)
+        if delay is not None:
             queue.append((count, attempt + 1, time.monotonic() + delay))
-            bus.emit(
-                DRIVER_WORKER_RETRY,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempt=attempt,
-                delay=delay,
-                error=error,
-            )
-        else:
-            failures[count] = SearchFailure(
-                num_stages=count,
-                error=error,
-                attempts=attempt + 1,
-                kind=kind,
-            )
-            bus.emit(
-                DRIVER_COUNT_FAILED,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempts=attempt + 1,
-                error=error,
-                failure_kind=kind,
-                _failure=failures[count],
-            )
-
-    def shed_queued_past_deadline() -> None:
-        while queue:
-            count, attempt, _ = queue.popleft()
-            failures[count] = SearchFailure(
-                num_stages=count,
-                error="deadline expired before this stage count was "
-                "searched",
-                attempts=attempt,
-                kind="deadline",
-            )
-            bus.emit(
-                DRIVER_COUNT_FAILED,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempts=attempt,
-                error=failures[count].error,
-                failure_kind="deadline",
-                _failure=failures[count],
-            )
 
     try:
         while queue or active:
@@ -612,7 +650,9 @@ def _run_counts_in_pool(
                 # and give in-flight tasks one grace window to return
                 # their best-so-far partial results before the watchdog
                 # reaps their workers.
-                shed_queued_past_deadline()
+                while queue:
+                    count, attempt, _ = queue.popleft()
+                    ledger.shed(count, attempt)
                 reap_at = now + DEADLINE_KILL_GRACE
                 for task in active.values():
                     if task.kill_at is None or task.kill_at > reap_at:
@@ -689,14 +729,7 @@ def _run_counts_in_pool(
                     status, value, worker_events = message
                     forward(worker_events, count, task.attempt)
                     if status == "ok":
-                        results[count] = value
-                        bus.emit(
-                            DRIVER_COUNT_COMPLETED,
-                            source="driver",
-                            num_stages=count,
-                            attempt=task.attempt,
-                            _result=value,
-                        )
+                        ledger.complete(value, task.attempt)
                     else:
                         bus.emit(
                             DRIVER_WORKER_ERROR,
@@ -770,7 +803,7 @@ def _run_counts_in_pool(
     finally:
         pool.shutdown()
 
-    return results, failures, {"forks": pool.num_forks, "tasks": dispatched}
+    return {"forks": pool.num_forks, "tasks": dispatched}
 
 
 def search_all_stage_counts(
@@ -828,7 +861,8 @@ def search_all_stage_counts(
     each one finishes (deadline-cut partial runs are *not* recorded —
     they must be re-searched); with ``resume=True`` an existing
     checkpoint's completed counts are restored instead of re-searched
-    (failed counts are retried), and a corrupt checkpoint file is
+    (failed counts are retried).  A corrupt checkpoint file, or one
+    holding a plan that does not fit this graph and cluster, is
     quarantined to ``<path>.corrupt`` and the search starts fresh.
     Serial runs (``workers == 1``) checkpoint too but cannot enforce
     timeouts or memory caps.
@@ -861,9 +895,6 @@ def search_all_stage_counts(
         raise ValueError(
             "pass either options or strategy_kwargs, not both"
         )
-    worker_fn = _worker_fn or _stage_count_worker
-    jitter_seed = options.seed if options is not None else 0
-
     context = {
         "num_ops": graph.num_ops,
         "num_gpus": cluster.num_gpus,
@@ -876,19 +907,20 @@ def search_all_stage_counts(
     checkpoint = None
     restored: List[StageCountResult] = []
     if checkpoint_path is not None:
-        import os
-
-        if resume and os.path.exists(checkpoint_path):
+        if resume:
             checkpoint = SearchCheckpoint.load_or_quarantine(
                 checkpoint_path
             )
+        if checkpoint is not None:
+            checkpoint.ensure_compatible(counts, budget_kwargs, context)
+            if checkpoint.quarantine_if_foreign(graph, cluster):
+                checkpoint = None
         if checkpoint is None:
             checkpoint = SearchCheckpoint.new(
                 counts, budget_kwargs, context, checkpoint_path
             )
             checkpoint.save()
         else:
-            checkpoint.ensure_compatible(counts, budget_kwargs, context)
             restored = [
                 run
                 for run in checkpoint.restore_runs(perf_model)
@@ -899,33 +931,7 @@ def search_all_stage_counts(
 
     started = time.perf_counter()
     outcome = MultiStageSearchResult(workers=min(workers, len(counts)))
-
-    # Checkpoint recording subscribes to the driver's lifecycle events
-    # instead of threading ad-hoc callbacks through the scheduler: the
-    # serial loop and the multiprocess scheduler publish the same
-    # ``driver.count.completed`` / ``driver.count.failed`` events, and
-    # this sink (whose presence activates the bus) persists them.
     bus = get_bus()
-    checkpoint_sink = None
-    if checkpoint is not None:
-        snapshot = checkpoint
-
-        def record(event: Event) -> None:
-            if event.name == DRIVER_COUNT_COMPLETED:
-                run = event.attrs["_result"]
-                if run.result.partial:
-                    # A deadline-cut plan is best-so-far, not the
-                    # budget's answer; resuming must re-search it.
-                    return
-                snapshot.record_run(run)
-            else:
-                snapshot.record_failure(event.attrs["_failure"])
-
-        checkpoint_sink = bus.add_sink(CallbackSink(
-            record,
-            names=(DRIVER_COUNT_COMPLETED, DRIVER_COUNT_FAILED),
-        ))
-
     bus.emit(
         DRIVER_BEGIN,
         source="driver",
@@ -940,131 +946,72 @@ def search_all_stage_counts(
             num_stages=run.num_stages,
         )
 
-    results: dict = {run.num_stages: run for run in restored}
-    failures: dict = {}
-    try:
-        if workers <= 1 or len(todo) <= 1:
-            for count in todo:
+    ledger = _CountLedger(
+        bus,
+        checkpoint,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        jitter_seed=options.seed if options is not None else 0,
+        deadline=deadline,
+        results={run.num_stages: run for run in restored},
+    )
+    if workers <= 1 or len(todo) <= 1:
+        for count in todo:
+            attempt = 0
+            while True:
                 if deadline is not None and deadline.expired():
-                    failures[count] = SearchFailure(
-                        num_stages=count,
-                        error="deadline expired before this stage count "
-                        "was searched",
-                        attempts=0,
-                        kind="deadline",
-                    )
-                    bus.emit(
-                        DRIVER_COUNT_FAILED,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempts=0,
-                        error=failures[count].error,
-                        failure_kind="deadline",
-                        _failure=failures[count],
-                    )
-                    continue
-                attempt = 0
-                while True:
-                    try:
-                        init = balanced_config(graph, cluster, count)
-                        search = get_searcher_class(strategy)(
-                            graph, cluster, perf_model, options=options
-                        )
-                        result = search.run(
-                            init,
-                            SearchBudget(**budget_kwargs),
-                            deadline=deadline,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - degrade, record
-                        error = f"{type(exc).__name__}: {exc}"
-                        out_of_time = (
-                            deadline is not None and deadline.expired()
-                        )
-                        if attempt < max_retries and not out_of_time:
-                            delay = retry_delay(
-                                retry_backoff, count, attempt, jitter_seed
-                            )
-                            bus.emit(
-                                DRIVER_WORKER_RETRY,
-                                source="driver",
-                                level=WARNING,
-                                num_stages=count,
-                                attempt=attempt,
-                                delay=delay,
-                                error=error,
-                            )
-                            time.sleep(delay)
-                            attempt += 1
-                            continue
-                        failures[count] = SearchFailure(
-                            num_stages=count,
-                            error=error,
-                            attempts=attempt + 1,
-                            kind=_failure_kind_from_error(error),
-                        )
-                        bus.emit(
-                            DRIVER_COUNT_FAILED,
-                            source="driver",
-                            level=WARNING,
-                            num_stages=count,
-                            attempts=attempt + 1,
-                            error=error,
-                            failure_kind=failures[count].kind,
-                            _failure=failures[count],
-                        )
-                        break
-                    run = StageCountResult(num_stages=count, result=result)
-                    results[count] = run
-                    bus.emit(
-                        DRIVER_COUNT_COMPLETED,
-                        source="driver",
-                        num_stages=count,
-                        attempt=attempt,
-                        _result=run,
-                    )
+                    ledger.shed(count, attempt)
                     break
-        elif todo:
-            model_kwargs = {
-                "cache_size": perf_model._cache_size,
-                "stage_cache_size": perf_model._stage_cache_size,
-                "reserve_safety_factor": perf_model.reserve_safety_factor,
-            }
-            # The heavy problem state crosses into pool workers exactly
-            # once (inherited at fork, or shipped per worker under
-            # spawn); each dispatched task is only (count, remaining).
-            shared = (graph, cluster, perf_model.database, options,
-                      budget_kwargs, model_kwargs, strategy)
+                try:
+                    run = _search_count(graph, cluster, perf_model, count,
+                                        strategy, options, budget_kwargs,
+                                        deadline)
+                except Exception as exc:  # noqa: BLE001 - degrade, record
+                    error = f"{type(exc).__name__}: {exc}"
+                    delay = ledger.fail(
+                        count, attempt, error, _failure_kind_from_error(error)
+                    )
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                    attempt += 1
+                else:
+                    ledger.complete(run, attempt)
+                    break
+    else:
+        model_kwargs = {
+            "cache_size": perf_model._cache_size,
+            "stage_cache_size": perf_model._stage_cache_size,
+            "reserve_safety_factor": perf_model.reserve_safety_factor,
+        }
+        # The heavy problem state crosses into pool workers exactly
+        # once (inherited at fork, or shipped per worker under spawn);
+        # each dispatched task is only (count, remaining).
+        shared = (graph, cluster, perf_model.database, options,
+                  budget_kwargs, model_kwargs, strategy)
 
-            def task_for(count: int) -> Tuple[int, Optional[float]]:
-                remaining = (
-                    deadline.remaining() if deadline is not None else None
-                )
-                return (count, remaining)
-
-            fresh, failures, pool_stats = _run_counts_in_pool(
-                todo,
-                task_for,
-                worker_fn,
-                functools.partial(_payload_from_task, shared),
-                max_workers=min(workers, len(todo)),
-                timeout_per_count=timeout_per_count,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                jitter_seed=jitter_seed,
-                deadline=deadline,
-                worker_memory_mb=worker_memory_mb,
-                bus=bus,
+        def task_for(count: int) -> Tuple[int, Optional[float]]:
+            remaining = (
+                deadline.remaining() if deadline is not None else None
             )
-            results.update(fresh)
-            outcome.pool_forks = pool_stats["forks"]
-            outcome.pool_tasks = pool_stats["tasks"]
-    finally:
-        if checkpoint_sink is not None:
-            bus.remove_sink(checkpoint_sink)
+            return (count, remaining)
+
+        pool_stats = _run_counts_in_pool(
+            todo,
+            task_for,
+            _worker_fn or _stage_count_worker,
+            functools.partial(_payload_from_task, shared),
+            ledger,
+            max_workers=min(workers, len(todo)),
+            timeout_per_count=timeout_per_count,
+            worker_memory_mb=worker_memory_mb,
+        )
+        outcome.pool_forks = pool_stats["forks"]
+        outcome.pool_tasks = pool_stats["tasks"]
 
     # Deterministic merge in stage-count order, regardless of the order
     # workers finished (or which half came from a resumed checkpoint).
+    results, failures = ledger.results, ledger.failures
     outcome.runs.extend(results[count] for count in counts if count in results)
     outcome.failures.extend(
         failures[count] for count in counts if count in failures

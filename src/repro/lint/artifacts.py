@@ -311,6 +311,8 @@ def lint_checkpoint_file(path: Union[str, Path]) -> List[Diagnostic]:
                 f"checkpoint field {key!r} must be a JSON object",
                 location=str(path),
             ))
+    context = data.get("context")
+    num_ops = context.get("num_ops") if isinstance(context, dict) else None
     completed = data.get("completed", {})
     completed_counts: List[int] = []
     if not isinstance(completed, dict):
@@ -358,6 +360,19 @@ def lint_checkpoint_file(path: Union[str, Path]) -> List[Diagnostic]:
                     "ACE323",
                     f"completed[{key}] best_config has {len(stages)} "
                     f"stages, expected {count}",
+                    location=loc,
+                ))
+            last = stages[-1] if isinstance(stages, list) and stages else {}
+            end = last.get("end") if isinstance(last, dict) else None
+            if isinstance(num_ops, int) and isinstance(end, int) and (
+                end != num_ops
+            ):
+                # A plan for another model: the file recorded a
+                # concurrent search's result.
+                out.append(Diagnostic(
+                    "ACE323",
+                    f"completed[{key}] best_config ends at op {end}, "
+                    f"but context.num_ops is {num_ops}",
                     location=loc,
                 ))
     failures = data.get("failures", [])

@@ -841,13 +841,6 @@ class PerfModel:
             )
         return reports, oom_flags
 
-    # ------------------------------------------------------------------
-    def _p2p_kind(self, boundary_device: int):
-        device = max(0, min(boundary_device, self.cluster.num_gpus - 2))
-        if self.cluster.node_of(device) == self.cluster.node_of(device + 1):
-            return self._p2p_intra
-        return self._p2p_inter
-
 
 def build_perf_model(
     graph: OpGraph,

@@ -759,7 +759,14 @@ class FleetRouter:
         }
 
     def churn(self, event: dict) -> dict:
-        """Fold one churn event into the whole fleet."""
+        """Fold one churn event into the whole fleet.
+
+        The event is decoded first, so a malformed one raises
+        :class:`~repro.codec.CodecError` before any tier is touched.
+        """
+        from ..elastic.timeline import ChurnEvent
+
+        ChurnEvent.from_json(event)
         demoted = self._demote_to_stale()
         dropped = self.cache.invalidate()
         per_replica = self._fanout("churn", event)

@@ -79,6 +79,10 @@ class _Handler(BaseHTTPRequestHandler):
     ``ready``, ``invalidate(gpus=)`` and ``churn(event)``."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers (~40 ms per response
+    # on a keep-alive connection).
+    disable_nagle_algorithm = True
 
     @property
     def _backend(self):

@@ -776,3 +776,59 @@ class TestServeLauncher:
             serve_main(["--port", "0", "--quiet", *flags])
         assert exit_info.value.code == 2
         assert "repro-serve: error:" in capsys.readouterr().err
+
+
+class TestChurnValidation:
+    """A malformed churn event is refused before any cache tier moves."""
+
+    def _served_fleet(self, tmp_path):
+        replicas = {
+            f"r{i}": LocalReplicaClient(PlannerDaemon(
+                planner=synthetic_planner(),
+                workers=1,
+                queue_limit=4,
+                state_dir=tmp_path / f"r{i}",
+            ).start())
+            for i in range(2)
+        }
+        router = FleetRouter(replicas, config=_fleet_config()).start()
+        assert router.submit(_request()).status == STATUS_SERVED
+        return router
+
+    def test_bad_event_leaves_tiers_intact(self, tmp_path):
+        from repro.codec import CodecError
+
+        router = self._served_fleet(tmp_path)
+        try:
+            with pytest.raises(CodecError):
+                router.churn({"kind": "bogus"})
+            assert len(router.cache) == 1
+            assert router._stale == {}
+        finally:
+            router.stop()
+
+    def test_bad_event_over_http_is_400(self, tmp_path):
+        import urllib.error
+
+        router = self._served_fleet(tmp_path)
+        server = serve(router, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            req = urllib.request.Request(
+                f"http://{host}:{port}/churn",
+                data=json.dumps({"kind": "bogus"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(req, timeout=10)
+            assert error.value.code == 400
+            assert "error" in json.loads(error.value.read())
+            assert len(router.cache) == 1
+            assert router._stale == {}
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            router.stop()
+            server.server_close()

@@ -94,6 +94,34 @@ class TestNegativeFixtures:
         found = codes(lint_checkpoint_file(path))
         assert found.count("ACE323") == 2  # stray count + both-sets
 
+    def test_foreign_plan_checkpoint_is_ace323(self, tmp_path):
+        from repro.ir.models import build_model
+
+        # A 196-op search's checkpoint holding a 68-op model's plan: what
+        # cross-recording between concurrent searches left behind.
+        foreign = balanced_config(build_model("gpt-8l"), paper_cluster(4), 1)
+        path = tmp_path / "deadbeefdeadbeef.ckpt.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "stage_counts": [1],
+            "budget_kwargs": {},
+            "context": {"num_ops": 196, "num_gpus": 4},
+            "completed": {"1": {
+                "best_config": config_to_dict(foreign),
+                "best_objective": 0.537,
+                "top_configs": [],
+                "num_estimates": 1,
+                "elapsed_seconds": 0.1,
+                "converged": True,
+                "visited_signatures": [],
+            }},
+            "failures": [],
+        }))
+        found = lint_checkpoint_file(path)
+        assert codes(found) == ["ACE323"]
+        assert "context.num_ops is 196" in found[0].message
+        assert lint_main([str(path)]) == 1
+
     def test_wrong_fingerprint_cache_entry_is_ace311(self, tmp_path):
         request = PlanRequest(model="gpt-2l", gpus=4)
         entry = {

@@ -711,6 +711,33 @@ class TestHTTP:
         code, body = self.post(server, "/invalidate", {"gpus": "x"})
         assert code == 400
 
+    def test_keep_alive_hits_do_not_stall(self, server):
+        """Cached round trips on one connection never wait on a delayed
+        ACK: 20 hits stay far below the 20 x 40 ms a Nagle stall costs."""
+        import http.client
+
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        body = json.dumps(PlanRequest(model="m", gpus=4).to_json())
+
+        def plan():
+            conn.request(
+                "POST", "/plan", body, {"Content-Type": "application/json"}
+            )
+            reply = conn.getresponse()
+            return json.loads(reply.read())
+
+        try:
+            plan()  # fills the cache
+            started = time.perf_counter()
+            hits = [plan() for _ in range(20)]
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert all(hit["cached"] for hit in hits)
+        assert elapsed < 0.4
+
 
 class TestRealPlannerEndToEnd:
     def test_request_plans_and_caches(self, tmp_path):
