@@ -10,11 +10,14 @@ lane, then asserts that
   lane's deterministic digest match the committed reference
   (``scripts/arena_smoke_reference.json``) — regenerate the reference
   (delete the file and rerun) only with an intentional search change;
+* racing the same entries again on the worker pool (``workers=3``)
+  gives every lane the same deterministic digest as the serial race;
 * the run log left behind is schema-valid and contains the full
-  ``arena.*`` lifecycle.
+  ``arena.*`` lifecycle of both races, forwarded worker events
+  included.
 
-Artifacts land in ``smoke-arena/`` (run log + tournament JSON report)
-for the build upload.
+Artifacts land in ``smoke-arena/`` (run log + serial and pooled
+tournament JSON reports) for the build upload.
 
 Run from the repository root:
 ``PYTHONPATH=src python scripts/arena_smoke.py``
@@ -34,6 +37,7 @@ STAGE_COUNT = 2
 SEED = 0
 MAX_ESTIMATES = 400
 DEADLINE_SECONDS = 10.0
+POOL_WORKERS = 3
 
 #: Wall-clock fields are excluded from the digest by construction.
 DETERMINISTIC_FIELDS = (
@@ -61,6 +65,7 @@ def main():
     from repro.ir.models import build_model
     from repro.profiling import SimulatedProfiler
     from repro.telemetry import (
+        CallbackSink,
         JsonlSink,
         TelemetryBus,
         using_bus,
@@ -69,6 +74,7 @@ def main():
 
     run_log = os.path.join(SMOKE_DIR, "arena-events.jsonl")
     report_path = os.path.join(SMOKE_DIR, "arena-report.json")
+    pool_report_path = os.path.join(SMOKE_DIR, "arena-pool-report.json")
     if os.path.exists(run_log):
         os.remove(run_log)
 
@@ -81,9 +87,14 @@ def main():
     ]
 
     sink = JsonlSink(run_log, flush_every=1)
-    bus = TelemetryBus()
-    bus.add_sink(sink)
-    try:
+
+    def race(workers):
+        """One tournament logged to the shared run log; returns it and
+        the names of the events it emitted."""
+        names = []
+        bus = TelemetryBus()
+        bus.add_sink(sink)
+        bus.add_sink(CallbackSink(lambda event: names.append(event.name)))
         with using_bus(bus):
             result = run_tournament(
                 graph, cluster, database,
@@ -91,11 +102,18 @@ def main():
                 stage_count=STAGE_COUNT,
                 budget_per_entry={"max_estimates": MAX_ESTIMATES},
                 deadline_seconds=DEADLINE_SECONDS,
-                label=f"smoke/{MODEL}/gpus={GPUS}",
+                workers=workers,
+                label=f"smoke/{MODEL}/gpus={GPUS}/workers={workers}",
             )
+        return result, names
+
+    try:
+        result, serial_names = race(1)
+        pooled, pooled_names = race(POOL_WORKERS)
     finally:
         sink.close()
     result.save(report_path)
+    pooled.save(pool_report_path)
 
     problems = []
     for outcome in result.outcomes:
@@ -144,18 +162,30 @@ def main():
                 handle.write("\n")
             print(f"(reference written to {REFERENCE} — commit it)")
 
+    serial_digests = [digest(o.to_json()) for o in result.outcomes]
+    pooled_digests = [digest(o.to_json()) for o in pooled.outcomes]
+    print(f"pooled (workers={POOL_WORKERS}) lane digests: "
+          f"{' '.join(pooled_digests)}")
+    if pooled_digests != serial_digests:
+        problems.append(
+            f"pooled lanes drifted from the serial race: expected "
+            f"{serial_digests}, got {pooled_digests}"
+        )
+
     events = validate_run_log(run_log)
-    names = [event.name for event in events]
     print(f"run log: {len(events)} events, schema OK")
-    if names.count("arena.begin") != 1 or names.count("arena.end") != 1:
-        problems.append("run log missing the arena.begin/arena.end pair")
-    for lifecycle in ("arena.entry.begin", "arena.entry.end"):
-        if names.count(lifecycle) != len(entries):
+    for mode, names in (("serial", serial_names), ("pooled", pooled_names)):
+        if names.count("arena.begin") != 1 or names.count("arena.end") != 1:
             problems.append(
-                f"{names.count(lifecycle)} {lifecycle} events for "
-                f"{len(entries)} entries"
+                f"{mode} race missing the arena.begin/arena.end pair"
             )
-    print(f"report -> {report_path}")
+        for lifecycle in ("arena.entry.begin", "arena.entry.end"):
+            if names.count(lifecycle) != len(entries):
+                problems.append(
+                    f"{mode} race: {names.count(lifecycle)} {lifecycle} "
+                    f"events for {len(entries)} entries"
+                )
+    print(f"reports -> {report_path}, {pool_report_path}")
 
     if problems:
         print("\nFAILURES:")

@@ -1,7 +1,6 @@
 """Tournament harness racing search strategies under equal budgets."""
 
 from .tournament import (
-    ENTRY_KILL_GRACE,
     TOURNAMENT_FORMAT_VERSION,
     ArenaEntry,
     EntryOutcome,
@@ -10,7 +9,6 @@ from .tournament import (
 )
 
 __all__ = [
-    "ENTRY_KILL_GRACE",
     "TOURNAMENT_FORMAT_VERSION",
     "ArenaEntry",
     "EntryOutcome",

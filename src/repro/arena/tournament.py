@@ -13,8 +13,10 @@ iteration index) — serialized as ``BENCH_strategies.json``.
 
 Entries run serially by default; with ``workers > 1`` they are
 dispatched onto the crash-safe :class:`~repro.core.pool.WorkerPool`
-(an entry that crashes its worker becomes a failure record, the rest
-still report).  Lifecycle is published as ``arena.*`` telemetry
+through the same task loop the stage-count driver uses
+(:func:`~repro.core.pool.run_pool_tasks`): an entry that raises,
+crashes its worker, or overruns its deadline becomes a failure record,
+the rest still report.  Lifecycle is published as ``arena.*`` telemetry
 events, and each worker's captured ``search.strategy.*`` stream is
 re-emitted with entry attribution so one run log holds the whole
 tournament.
@@ -22,9 +24,10 @@ tournament.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..cluster.topology import ClusterSpec
 from ..codec import Record, Version, json_field
@@ -40,15 +43,11 @@ from ..telemetry.events import (
     ARENA_ENTRY_FAILED,
 )
 from ..core.budget import Deadline, SearchBudget
-from ..core.pool import WorkerPool
-from ..core.search import SearchResult
+from ..core.pool import KILL_GRACE, forward_events, run_pool_tasks
 from ..core.searcher import build_options, make_searcher
 
 #: Format marker for ``BENCH_strategies.json``.
 TOURNAMENT_FORMAT_VERSION = 1
-
-#: Seconds past the per-entry deadline before a pool worker is reaped.
-ENTRY_KILL_GRACE = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,33 @@ class TournamentResult(Record):
         return min(lanes, key=lambda o: (not o.feasible, o.best_objective))
 
 
-def _outcome_from_result(
-    entry: ArenaEntry, result: SearchResult
+def _run_entry(
+    graph: OpGraph,
+    cluster: ClusterSpec,
+    database,
+    entry: ArenaEntry,
+    *,
+    stage_count: int,
+    budget_kwargs: dict,
+    model_kwargs: dict,
+    deadline_seconds: Optional[float],
 ) -> EntryOutcome:
+    """Race one lane against its own fresh :class:`PerfModel`.
+
+    Serial lanes call it directly; pool workers run it as a partial
+    over the shared problem state, one JSON entry per task.
+    """
+    perf_model = PerfModel(graph, cluster, database, **model_kwargs)
+    searcher = make_searcher(
+        entry.strategy, graph, cluster, perf_model, options=entry.options()
+    )
+    init = balanced_config(graph, cluster, stage_count)
+    deadline = (
+        None if deadline_seconds is None else Deadline(deadline_seconds)
+    )
+    result = searcher.run(
+        init, SearchBudget(**budget_kwargs), deadline=deadline
+    )
     return EntryOutcome(
         strategy=entry.strategy,
         seed=entry.seed,
@@ -168,50 +191,6 @@ def _outcome_from_result(
             for record in result.trace.records
         ],
     )
-
-
-def _run_entry(
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    perf_model: PerfModel,
-    entry: ArenaEntry,
-    stage_count: int,
-    budget_kwargs: dict,
-    deadline_seconds: Optional[float],
-) -> EntryOutcome:
-    searcher = make_searcher(
-        entry.strategy, graph, cluster, perf_model, options=entry.options()
-    )
-    init = balanced_config(graph, cluster, stage_count)
-    deadline = (
-        None if deadline_seconds is None else Deadline(deadline_seconds)
-    )
-    result = searcher.run(
-        init, SearchBudget(**budget_kwargs), deadline=deadline
-    )
-    return _outcome_from_result(entry, result)
-
-
-def _entry_worker(payload: tuple) -> EntryOutcome:
-    """Run one lane in a pool worker (module-level so it pickles)."""
-    (graph, cluster, database, entry_json, stage_count, budget_kwargs,
-     model_kwargs, deadline_seconds) = payload
-    entry = ArenaEntry.from_json(entry_json)
-    perf_model = PerfModel(graph, cluster, database, **model_kwargs)
-    return _run_entry(
-        graph, cluster, perf_model, entry, stage_count, budget_kwargs,
-        deadline_seconds,
-    )
-
-
-def _entry_payload_from_task(
-    shared: tuple, task: Tuple[dict, Optional[float]]
-):
-    (graph, cluster, database, stage_count, budget_kwargs,
-     model_kwargs) = shared
-    entry_json, deadline_seconds = task
-    return (graph, cluster, database, entry_json, stage_count,
-            budget_kwargs, model_kwargs, deadline_seconds)
 
 
 def run_tournament(
@@ -238,9 +217,10 @@ def run_tournament(
 
     ``workers > 1`` dispatches lanes onto a :class:`WorkerPool`; a lane
     whose worker crashes or overruns ``deadline_seconds`` by
-    :data:`ENTRY_KILL_GRACE` becomes a failure outcome (no retries —
-    a tournament rematch is a rerun, not a retry).  Results are merged
-    in entry order either way, so the report is deterministic.
+    :data:`~repro.core.pool.KILL_GRACE` becomes a failure outcome (no
+    retries — a tournament rematch is a rerun, not a retry).  Results
+    are merged in entry order either way, so the report is
+    deterministic.
     """
     if not entries:
         raise ValueError("no arena entries to race")
@@ -267,54 +247,99 @@ def run_tournament(
     )
     started = time.perf_counter()
     outcomes: List[Optional[EntryOutcome]] = [None] * len(entries)
+    run_entry = functools.partial(
+        _run_entry,
+        graph,
+        cluster,
+        database,
+        stage_count=stage_count,
+        budget_kwargs=budget_kwargs,
+        model_kwargs=model_kwargs or {},
+        deadline_seconds=deadline_seconds,
+    )
+
+    def begin(index: int, **attrs) -> None:
+        entry = entries[index]
+        bus.emit(
+            ARENA_ENTRY_BEGIN,
+            source="arena",
+            entry=entry.name,
+            strategy=entry.strategy,
+            seed=entry.seed,
+            **attrs,
+        )
+
+    def report(index: int, outcome=None, error: Optional[str] = None):
+        """Settle lane ``index`` with its outcome or its error."""
+        entry = entries[index]
+        if error is not None:
+            outcome = EntryOutcome(
+                strategy=entry.strategy, seed=entry.seed, error=error
+            )
+            bus.emit(
+                ARENA_ENTRY_FAILED,
+                source="arena",
+                level=WARNING,
+                entry=entry.name,
+                error=error,
+            )
+        else:
+            bus.emit(
+                ARENA_ENTRY_END,
+                source="arena",
+                entry=entry.name,
+                best_objective=outcome.best_objective,
+                feasible=outcome.feasible,
+                partial=outcome.partial,
+                num_estimates=outcome.num_estimates,
+                estimates_to_best=outcome.estimates_to_best,
+            )
+        outcomes[index] = outcome
 
     if workers <= 1 or len(entries) <= 1:
         for index, entry in enumerate(entries):
-            bus.emit(
-                ARENA_ENTRY_BEGIN,
-                source="arena",
-                entry=entry.name,
-                strategy=entry.strategy,
-                seed=entry.seed,
-            )
-            perf_model = PerfModel(
-                graph, cluster, database, **(model_kwargs or {})
-            )
+            begin(index)
             try:
-                outcome = _run_entry(
-                    graph, cluster, perf_model, entry, stage_count,
-                    budget_kwargs, deadline_seconds,
-                )
+                outcome = run_entry(entry)
             except Exception as exc:  # noqa: BLE001 - lane fails, race continues
-                outcome = EntryOutcome(
-                    strategy=entry.strategy,
-                    seed=entry.seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                bus.emit(
-                    ARENA_ENTRY_FAILED,
-                    source="arena",
-                    level=WARNING,
-                    entry=entry.name,
-                    error=outcome.error,
-                )
+                report(index, error=f"{type(exc).__name__}: {exc}")
             else:
-                bus.emit(
-                    ARENA_ENTRY_END,
-                    source="arena",
-                    entry=entry.name,
-                    best_objective=outcome.best_objective,
-                    feasible=outcome.feasible,
-                    partial=outcome.partial,
-                    num_estimates=outcome.num_estimates,
-                    estimates_to_best=outcome.estimates_to_best,
-                )
-            outcomes[index] = outcome
+                report(index, outcome)
     else:
-        outcomes = _run_entries_in_pool(
-            graph, cluster, database, entries, stage_count,
-            budget_kwargs, model_kwargs or {}, deadline_seconds,
-            min(workers, len(entries)), bus,
+
+        def on_dispatch(index, attempt, worker_pid) -> None:
+            begin(index, worker_pid=worker_pid)
+
+        def on_message(index, attempt, status, value, events) -> None:
+            forward_events(bus, events, arena_entry=entries[index].name)
+            if status == "ok":
+                report(index, value)
+            else:
+                report(index, error=value)
+
+        def on_lost(index, attempt, exitcode) -> None:
+            report(index, error=(
+                "worker reaped past the per-entry deadline"
+                if exitcode is None
+                else f"worker process died with exit code {exitcode}"
+            ))
+
+        # The heavy problem state crosses into workers once (fork-
+        # inherited); each dispatched task is just the entry's JSON.
+        run_pool_tasks(
+            range(len(entries)),
+            run_entry,
+            ArenaEntry.from_json,
+            max_workers=min(workers, len(entries)),
+            bus=bus,
+            message_for=lambda index: entries[index].to_json(),
+            on_dispatch=on_dispatch,
+            on_message=on_message,
+            on_lost=on_lost,
+            timeout=(
+                None if deadline_seconds is None
+                else deadline_seconds + KILL_GRACE
+            ),
         )
 
     result = TournamentResult(
@@ -339,141 +364,3 @@ def run_tournament(
     )
     return result
 
-
-def _run_entries_in_pool(
-    graph,
-    cluster,
-    database,
-    entries: Sequence[ArenaEntry],
-    stage_count: int,
-    budget_kwargs: dict,
-    model_kwargs: dict,
-    deadline_seconds: Optional[float],
-    max_workers: int,
-    bus,
-) -> List[Optional[EntryOutcome]]:
-    """Dispatch lanes onto a :class:`WorkerPool`, no retries.
-
-    The heavy problem state crosses into workers once (fork-inherited);
-    each dispatched task is just ``(entry_json, deadline_seconds)``.
-    """
-    import functools
-
-    shared = (graph, cluster, database, stage_count, budget_kwargs,
-              model_kwargs)
-    pool = WorkerPool(
-        _entry_worker,
-        functools.partial(_entry_payload_from_task, shared),
-        max_workers=max_workers,
-        bus=bus,
-    )
-    pending = list(range(len(entries)))
-    active: dict = {}
-    outcomes: List[Optional[EntryOutcome]] = [None] * len(entries)
-
-    def fail(index: int, error: str) -> None:
-        entry = entries[index]
-        outcomes[index] = EntryOutcome(
-            strategy=entry.strategy, seed=entry.seed, error=error
-        )
-        bus.emit(
-            ARENA_ENTRY_FAILED,
-            source="arena",
-            level=WARNING,
-            entry=entry.name,
-            error=error,
-        )
-
-    try:
-        while pending or active:
-            while pending:
-                worker = pool.acquire()
-                if worker is None:
-                    break
-                index = pending[0]
-                entry = entries[index]
-                try:
-                    worker.conn.send(
-                        (entry.to_json(), deadline_seconds)
-                    )
-                except (BrokenPipeError, OSError):
-                    pool.discard(worker)
-                    continue
-                pending.pop(0)
-                worker.busy = True
-                bus.emit(
-                    ARENA_ENTRY_BEGIN,
-                    source="arena",
-                    entry=entry.name,
-                    strategy=entry.strategy,
-                    seed=entry.seed,
-                    worker_pid=worker.pid,
-                )
-                kill_at = (
-                    time.monotonic() + deadline_seconds + ENTRY_KILL_GRACE
-                    if deadline_seconds is not None
-                    else None
-                )
-                active[index] = (worker, kill_at)
-
-            finished = []
-            for index, (worker, kill_at) in active.items():
-                entry = entries[index]
-                message = None
-                if worker.conn.poll(0):
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                if message is None and not worker.alive():
-                    if worker.conn.poll(0.05):
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            message = None
-                if message is not None:
-                    finished.append(index)
-                    worker.busy = False
-                    worker.tasks_done += 1
-                    status, value, worker_events = message
-                    if bus.active:
-                        for event in worker_events:
-                            bus.emit_event(
-                                event.with_attrs(arena_entry=entry.name)
-                            )
-                    if status == "ok":
-                        outcomes[index] = value
-                        bus.emit(
-                            ARENA_ENTRY_END,
-                            source="arena",
-                            entry=entry.name,
-                            best_objective=value.best_objective,
-                            feasible=value.feasible,
-                            partial=value.partial,
-                            num_estimates=value.num_estimates,
-                            estimates_to_best=value.estimates_to_best,
-                        )
-                    else:
-                        fail(index, value)
-                elif not worker.alive():
-                    finished.append(index)
-                    pool.discard(worker)
-                    fail(
-                        index,
-                        "worker process died with exit code "
-                        f"{worker.process.exitcode}",
-                    )
-                elif kill_at is not None and time.monotonic() >= kill_at:
-                    finished.append(index)
-                    pool.discard(worker, kill=True)
-                    fail(
-                        index,
-                        "worker reaped past the per-entry deadline",
-                    )
-            for index in finished:
-                active.pop(index)
-            if active and not finished:
-                time.sleep(0.005)
-    finally:
-        pool.shutdown()
-    return outcomes

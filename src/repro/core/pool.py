@@ -1,11 +1,13 @@
-"""Persistent fork-shared worker pool for the stage-count driver.
+"""Persistent fork-shared worker pool and the one loop that drives it.
 
-The original driver forked one fresh process per (stage count, attempt)
-and shipped the whole problem — op graph, cluster spec, and profile
-database — through the pickled process arguments every time.  For the
-models the paper searches, that serialization dwarfs the actual search
-work at small budgets.  This module keeps a pool of long-lived workers
-instead:
+Two callers fan work out to subprocesses: the stage-count driver
+(:func:`repro.core.search.search_all_stage_counts`) and the strategy
+arena (:func:`repro.arena.run_tournament`).  The original driver forked
+one fresh process per (stage count, attempt) and shipped the whole
+problem — op graph, cluster spec, and profile database — through the
+pickled process arguments every time.  For the models the paper
+searches, that serialization dwarfs the actual search work at small
+budgets.  This module keeps a pool of long-lived workers instead:
 
 * Under the ``fork`` start method (the POSIX default), workers inherit
   the problem state read-only through :data:`_FORK_STATE` at fork time
@@ -15,20 +17,23 @@ instead:
   *worker* (through the process arguments) instead of once per *task*.
 
 Crash safety is preserved by construction: each worker is an
-individual process with a private duplex pipe, so the scheduler in
-:mod:`repro.core.search` can kill, discard, and lazily replace one
+individual process with a private duplex pipe, so the task loop
+:func:`run_pool_tasks` can kill, discard, and lazily replace one
 worker without disturbing the others — none of the fate-sharing of a
 ``ProcessPoolExecutor``, where a single dead process poisons the whole
-executor.
+executor.  Both callers supply only callbacks; dispatch, draining,
+crash detection and reaping exist once, here.
 """
-
 from __future__ import annotations
 
 import multiprocessing
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple,
+)
 
 from ..telemetry import get_bus
 from ..telemetry.events import (
@@ -50,6 +55,10 @@ _FORK_LOCK = threading.Lock()
 #: Seconds to wait for a worker to acknowledge shutdown before
 #: escalating to ``terminate()``.
 _SHUTDOWN_GRACE = 2.0
+
+#: Extra seconds a task gets past its deadline to ship its best-so-far
+#: result home before :func:`run_pool_tasks` reaps its worker.
+KILL_GRACE = 1.0
 
 
 def _apply_worker_memory_limit(memory_limit_mb: Optional[float]) -> None:
@@ -270,3 +279,163 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+def forward_events(bus, events, **attrs) -> None:
+    """Re-emit a worker's captured events on ``bus`` with ``attrs``."""
+    if not bus.active:
+        return
+    for event in events:
+        bus.emit_event(event.with_attrs(**attrs))
+
+
+def _receive(worker: PoolWorker):
+    """The task's reply, or ``None`` while it runs (or once it died)."""
+    if not worker.conn.poll(0):
+        # The process may have exited between its last send and now:
+        # drain the pipe once more before the worker counts as lost.
+        if worker.alive() or not worker.conn.poll(0.05):
+            return None
+    try:
+        return worker.conn.recv()
+    except (EOFError, OSError):
+        return None
+
+
+@dataclass
+class _Running:
+    worker: PoolWorker
+    attempt: int
+    kill_at: Optional[float]
+
+
+def run_pool_tasks(
+    keys: Iterable[Hashable],
+    worker_fn: Callable,
+    payload_builder: Callable,
+    *,
+    max_workers: int,
+    bus,
+    message_for: Callable[[Hashable], Any],
+    on_dispatch: Callable[[Hashable, int, Optional[int]], None],
+    on_message: Callable[[Hashable, int, str, Any, list], Optional[float]],
+    on_lost: Callable[[Hashable, int, Optional[int]], Optional[float]],
+    on_shed: Optional[Callable[[Hashable, int], None]] = None,
+    timeout: Optional[float] = None,
+    deadline=None,
+    memory_limit_mb: Optional[float] = None,
+) -> Dict[str, int]:
+    """Run one task per key on a :class:`WorkerPool` until all settle.
+
+    Each key is sent to a worker as ``message_for(key)`` and turned
+    into the worker's payload by ``payload_builder``; keys must be
+    unique.  The loop reports through the callbacks, each getting the
+    key and its 0-based attempt:
+
+    * ``on_dispatch(key, attempt, worker_pid)`` once the task is sent;
+    * ``on_message(key, attempt, status, value, events)`` for the
+      worker's ``("ok" | "error", value, events)`` reply — the worker
+      survives and takes the next task;
+    * ``on_lost(key, attempt, exitcode)`` once a worker died mid-task
+      (its exit code) or was reaped past its kill time (``None``).
+
+    ``on_message`` and ``on_lost`` return a backoff in seconds to
+    requeue the key as the next attempt, or ``None`` when it is done.
+    A task is reaped ``timeout`` seconds after dispatch and
+    :data:`KILL_GRACE` seconds past the request ``deadline``
+    (a :class:`~repro.core.budget.Deadline`).  Once the deadline
+    expires, nothing more is dispatched: each queued key goes to
+    ``on_shed(key, attempt)``, which a caller passing a ``deadline``
+    must supply.  Workers fork lazily on first dispatch,
+    so an already-expired deadline forks nothing.
+
+    Returns the pool's process ``forks`` and dispatched ``tasks``
+    (tasks exceeding forks is the pool's reuse at work).
+    """
+    queue = deque((key, 0, 0.0) for key in keys)  # (key, attempt, not_before)
+    running: Dict[Hashable, _Running] = {}
+    dispatched = 0
+    pool = WorkerPool(
+        worker_fn,
+        payload_builder,
+        max_workers=max_workers,
+        memory_limit_mb=memory_limit_mb,
+        bus=bus,
+    )
+
+    try:
+        while queue or running:
+            now = time.monotonic()
+            if deadline is not None and deadline.expired():
+                # Anytime contract: stop dispatching, shed the backlog,
+                # and give in-flight tasks one grace window to return
+                # their best-so-far results before they are reaped.
+                while queue:
+                    key, attempt, _ = queue.popleft()
+                    on_shed(key, attempt)
+                reap_at = now + KILL_GRACE
+                for task in running.values():
+                    if task.kill_at is None or task.kill_at > reap_at:
+                        task.kill_at = reap_at
+            # Dispatch whatever fits, skipping retries still in backoff.
+            for _ in range(len(queue)):
+                key, attempt, not_before = queue[0]
+                if not_before > now:
+                    queue.rotate(-1)
+                    continue
+                worker = pool.acquire()
+                if worker is None:
+                    break  # every worker busy and the pool is at cap
+                queue.popleft()
+                try:
+                    worker.conn.send(message_for(key))
+                except (BrokenPipeError, OSError):
+                    # The idle worker died between tasks; replace it and
+                    # re-dispatch the task, which never started.
+                    pool.discard(worker)
+                    queue.appendleft((key, attempt, not_before))
+                    continue
+                worker.busy = True
+                dispatched += 1
+                on_dispatch(key, attempt, worker.pid)
+                kill_at = None if timeout is None else now + timeout
+                left = None if deadline is None else deadline.remaining()
+                if left is not None:
+                    reap_at = now + left + KILL_GRACE
+                    kill_at = (
+                        reap_at if kill_at is None else min(kill_at, reap_at)
+                    )
+                running[key] = _Running(worker, attempt, kill_at)
+
+            finished = []
+            for key, task in running.items():
+                worker = task.worker
+                message = _receive(worker)
+                if message is not None:
+                    worker.busy = False
+                    worker.tasks_done += 1
+                    status, value, events = message
+                    delay = on_message(
+                        key, task.attempt, status, value, events
+                    )
+                elif not worker.alive():
+                    pool.discard(worker)
+                    delay = on_lost(key, task.attempt, worker.process.exitcode)
+                elif (
+                    task.kill_at is not None
+                    and time.monotonic() >= task.kill_at
+                ):
+                    pool.discard(worker, kill=True)
+                    delay = on_lost(key, task.attempt, None)
+                else:
+                    continue
+                finished.append((key, task.attempt, delay))
+            for key, attempt, delay in finished:
+                del running[key]
+                if delay is not None:
+                    queue.append((key, attempt + 1, time.monotonic() + delay))
+            if running and not finished:
+                time.sleep(0.005)
+    finally:
+        pool.shutdown()
+    return {"forks": pool.num_forks, "tasks": dispatched}

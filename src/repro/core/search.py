@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,7 @@ from .bottleneck import rank_bottlenecks
 from .budget import Deadline, SearchBudget
 from .finetune import finetune
 from .multihop import MultiHopSearcher
-from .pool import PoolWorker, WorkerPool
+from .pool import forward_events, run_pool_tasks
 from .searcher import (
     SearchContext,
     Searcher,
@@ -66,11 +65,6 @@ from .searcher import (
     register_searcher,
 )
 from .trace import SearchTrace
-
-#: Extra seconds a worker subprocess gets past the request deadline to
-#: ship its best-so-far partial result home before the watchdog reaps it.
-DEADLINE_KILL_GRACE = 1.0
-
 
 @dataclass
 class SearchResult:
@@ -469,13 +463,6 @@ def _payload_from_task(shared: tuple, task: Tuple[int, Optional[float]]):
             model_kwargs, deadline_seconds, strategy)
 
 
-@dataclass
-class _ActiveTask:
-    worker: PoolWorker
-    kill_at: Optional[float]
-    attempt: int
-
-
 def _failure_kind_from_error(error: str) -> str:
     """Classify a worker's error string into a ``SearchFailure.kind``."""
     if error.startswith("MemoryError"):
@@ -580,230 +567,97 @@ def _run_counts_in_pool(
     timeout_per_count: Optional[float],
     worker_memory_mb: Optional[float] = None,
 ):
-    """Self-healing scheduler over a persistent worker pool.
+    """Search ``counts`` on a persistent worker pool.
 
-    Stage counts are dispatched to long-lived :class:`WorkerPool`
-    processes that load the problem state once (inherited read-only at
-    fork under the POSIX default) and then receive only a tiny
-    ``(count, deadline_seconds)`` tuple per task — no per-task pickling
-    of the graph or profile database.  Unlike a
-    ``ProcessPoolExecutor`` — where one dead worker breaks the pool and
-    takes every pending future with it — each pool worker owns a
-    private pipe, so a worker that crashes or blows its per-count
-    deadline is discarded *individually* and lazily replaced; tasks
-    that raise cleanly keep their worker alive for reuse.  Each
-    attempt's outcome goes to ``ledger``; a failed count it hands back
-    a backoff for is requeued behind that delay, and the other counts
-    never notice.  Returns a dict with the pool's process ``forks`` and
-    dispatched ``tasks`` counts (tasks exceeding forks is the pool's
-    reuse at work).
-
-    The ledger's request ``deadline`` turns the scheduler anytime:
-    workers search cooperatively against the remaining time, queued
-    counts are shed as ``kind="deadline"`` failures once it expires,
-    and a watchdog reaps any worker still running a task
-    ``DEADLINE_KILL_GRACE`` seconds past it — workers are only ever
-    forked on first dispatch, so an already-expired deadline forks
-    nothing.  ``worker_memory_mb``
+    :func:`~repro.core.pool.run_pool_tasks` owns dispatch, crash
+    detection, reaping and deadline shedding; this function maps its
+    callbacks onto ``ledger``.  Workers load the problem state once
+    (inherited read-only at fork under the POSIX default) and then
+    receive only a tiny ``(count, deadline_seconds)`` tuple per task.
+    A count whose task raises, crashes its worker, or overruns
+    ``timeout_per_count`` is requeued behind the backoff the ledger
+    hands back; the other counts never notice.  ``worker_memory_mb``
     applies an ``RLIMIT_AS`` cap inside each pool worker so a runaway
     count surfaces as ``kind="oom"``.
 
     Worker lifecycle (dispatch / timeout / crash / error) is published
     on the ledger's telemetry bus (``driver.worker.spawn`` marks a task
-    dispatch, carrying the pool worker's pid), plus
-    ``driver.pool.worker_start`` / ``driver.pool.worker_exit`` for
-    actual process churn, and each worker's own captured event stream
-    is re-emitted with ``num_stages``/``attempt`` attribution.
+    dispatch, carrying the pool worker's pid), and each worker's own
+    captured event stream is re-emitted with ``num_stages``/``attempt``
+    attribution.  Returns the pool's ``forks`` and ``tasks`` counts.
     """
     bus, deadline = ledger.bus, ledger.deadline
-    queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
-    active: dict = {}
-    dispatched = 0
-    pool = WorkerPool(
+
+    def on_dispatch(count: int, attempt: int, worker_pid) -> None:
+        bus.emit(
+            DRIVER_WORKER_SPAWN,
+            source="driver",
+            num_stages=count,
+            attempt=attempt,
+            worker_pid=worker_pid,
+        )
+
+    def on_message(count: int, attempt: int, status, value, events):
+        forward_events(bus, events, num_stages=count, attempt=attempt)
+        if status == "ok":
+            ledger.complete(value, attempt)
+            return None
+        bus.emit(
+            DRIVER_WORKER_ERROR,
+            source="driver",
+            level=WARNING,
+            num_stages=count,
+            attempt=attempt,
+            error=value,
+        )
+        return ledger.fail(
+            count, attempt, value, _failure_kind_from_error(value)
+        )
+
+    def on_lost(count: int, attempt: int, exitcode: Optional[int]):
+        if exitcode is not None:
+            bus.emit(
+                DRIVER_WORKER_CRASH,
+                source="driver",
+                level=WARNING,
+                num_stages=count,
+                attempt=attempt,
+                exitcode=exitcode,
+            )
+            error = f"worker process died with exit code {exitcode}"
+            return ledger.fail(count, attempt, error, "crash")
+        past_deadline = deadline is not None and deadline.expired()
+        bus.emit(
+            DRIVER_WORKER_TIMEOUT,
+            source="driver",
+            level=WARNING,
+            num_stages=count,
+            attempt=attempt,
+            timeout=timeout_per_count,
+            past_deadline=past_deadline,
+        )
+        error, kind = (
+            ("worker reaped past the request deadline", "deadline")
+            if past_deadline
+            else (f"timed out after {timeout_per_count:.1f}s", "timeout")
+        )
+        return ledger.fail(count, attempt, error, kind)
+
+    return run_pool_tasks(
+        counts,
         worker_fn,
         payload_builder,
         max_workers=max_workers,
-        memory_limit_mb=worker_memory_mb,
         bus=bus,
+        message_for=task_for,
+        on_dispatch=on_dispatch,
+        on_message=on_message,
+        on_lost=on_lost,
+        on_shed=ledger.shed,
+        timeout=timeout_per_count,
+        deadline=deadline,
+        memory_limit_mb=worker_memory_mb,
     )
-
-    def forward(worker_events, count: int, attempt: int) -> None:
-        if not bus.active:
-            return
-        for event in worker_events:
-            bus.emit_event(
-                event.with_attrs(num_stages=count, attempt=attempt)
-            )
-
-    def register_failure(
-        count: int, attempt: int, error: str, kind: str = "error"
-    ) -> None:
-        delay = ledger.fail(count, attempt, error, kind)
-        if delay is not None:
-            queue.append((count, attempt + 1, time.monotonic() + delay))
-
-    try:
-        while queue or active:
-            now = time.monotonic()
-            if deadline is not None and deadline.expired():
-                # Anytime contract: stop dispatching, shed the backlog,
-                # and give in-flight tasks one grace window to return
-                # their best-so-far partial results before the watchdog
-                # reaps their workers.
-                while queue:
-                    count, attempt, _ = queue.popleft()
-                    ledger.shed(count, attempt)
-                reap_at = now + DEADLINE_KILL_GRACE
-                for task in active.values():
-                    if task.kill_at is None or task.kill_at > reap_at:
-                        task.kill_at = reap_at
-            # Dispatch whatever fits, skipping retries still in backoff.
-            # Workers fork lazily inside pool.acquire(), so a queue that
-            # drains without dispatching (expired deadline) forks none.
-            for _ in range(len(queue)):
-                count, attempt, not_before = queue[0]
-                if not_before > now:
-                    queue.rotate(-1)
-                    continue
-                worker = pool.acquire()
-                if worker is None:
-                    break  # every worker busy and the pool is at cap
-                queue.popleft()
-                try:
-                    worker.conn.send(task_for(count))
-                except (BrokenPipeError, OSError):
-                    # The idle worker died between tasks; replace it and
-                    # re-dispatch the task, which never started.
-                    pool.discard(worker)
-                    queue.appendleft((count, attempt, not_before))
-                    continue
-                worker.busy = True
-                dispatched += 1
-                bus.emit(
-                    DRIVER_WORKER_SPAWN,
-                    source="driver",
-                    num_stages=count,
-                    attempt=attempt,
-                    worker_pid=worker.pid,
-                )
-                kill_at = (
-                    now + timeout_per_count
-                    if timeout_per_count is not None
-                    else None
-                )
-                if deadline is not None:
-                    left = deadline.remaining()
-                    if left is not None:
-                        reap_at = now + left + DEADLINE_KILL_GRACE
-                        kill_at = (
-                            reap_at if kill_at is None
-                            else min(kill_at, reap_at)
-                        )
-                active[count] = _ActiveTask(
-                    worker=worker,
-                    kill_at=kill_at,
-                    attempt=attempt,
-                )
-
-            finished = []
-            for count, task in active.items():
-                worker = task.worker
-                message = None
-                if worker.conn.poll(0):
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                if message is None and not worker.alive():
-                    # The process exited between our poll and now —
-                    # drain the pipe once more before declaring a crash.
-                    if worker.conn.poll(0.05):
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            message = None
-                if message is not None:
-                    finished.append(count)
-                    worker.busy = False
-                    worker.tasks_done += 1
-                    status, value, worker_events = message
-                    forward(worker_events, count, task.attempt)
-                    if status == "ok":
-                        ledger.complete(value, task.attempt)
-                    else:
-                        bus.emit(
-                            DRIVER_WORKER_ERROR,
-                            source="driver",
-                            level=WARNING,
-                            num_stages=count,
-                            attempt=task.attempt,
-                            error=value,
-                        )
-                        register_failure(
-                            count,
-                            task.attempt,
-                            value,
-                            kind=_failure_kind_from_error(value),
-                        )
-                elif not worker.alive():
-                    finished.append(count)
-                    pool.discard(worker)
-                    exitcode = worker.process.exitcode
-                    bus.emit(
-                        DRIVER_WORKER_CRASH,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempt=task.attempt,
-                        exitcode=exitcode,
-                    )
-                    register_failure(
-                        count,
-                        task.attempt,
-                        "worker process died with exit code "
-                        f"{exitcode}",
-                        kind="crash",
-                    )
-                elif (
-                    task.kill_at is not None
-                    and time.monotonic() >= task.kill_at
-                ):
-                    pool.discard(worker, kill=True)
-                    finished.append(count)
-                    past_deadline = (
-                        deadline is not None and deadline.expired()
-                    )
-                    bus.emit(
-                        DRIVER_WORKER_TIMEOUT,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempt=task.attempt,
-                        timeout=timeout_per_count,
-                        past_deadline=past_deadline,
-                    )
-                    if past_deadline:
-                        register_failure(
-                            count,
-                            task.attempt,
-                            "worker reaped past the request deadline",
-                            kind="deadline",
-                        )
-                    else:
-                        register_failure(
-                            count,
-                            task.attempt,
-                            f"timed out after {timeout_per_count:.1f}s",
-                            kind="timeout",
-                        )
-            for count in finished:
-                active.pop(count)
-            if active and not finished:
-                time.sleep(0.005)
-    finally:
-        pool.shutdown()
-
-    return {"forks": pool.num_forks, "tasks": dispatched}
 
 
 def search_all_stage_counts(

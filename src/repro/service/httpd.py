@@ -112,7 +112,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client closes; with
+            # no usable framing the connection cannot be reused either.
+            self.close_connection = True
+            raise ProtocolError(
+                "Content-Length must be a non-negative integer"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
@@ -159,8 +169,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
             return
         gpus = body.get("gpus")
-        if gpus is not None and not isinstance(gpus, int):
-            self._send_json(400, {"error": "gpus must be an integer"})
+        # bool is an int subclass, and True == 1 would match every
+        # 1-GPU cache entry.
+        if gpus is not None and (
+            isinstance(gpus, bool) or not isinstance(gpus, int) or gpus < 1
+        ):
+            self._send_json(
+                400, {"error": "gpus must be a positive integer"}
+            )
             return
         self._send_json(200, self._backend.invalidate(gpus=gpus))
 

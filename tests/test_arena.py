@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.telemetry.events import (
     ARENA_ENTRY_BEGIN,
     ARENA_ENTRY_END,
     ARENA_ENTRY_FAILED,
+    SEARCH_STRATEGY_STATS,
     is_registered,
 )
 
@@ -194,6 +197,124 @@ class TestTournament:
         assert best.best_objective == min(
             o.best_objective for o in result.outcomes
         )
+
+
+@dataclasses.dataclass
+class _FaultOptions:
+    seed: int = 0
+
+
+def _fault_searcher(strategy, fault):
+    """Register a searcher whose ``run`` only performs ``fault``."""
+
+    class FaultSearcher(Searcher):
+        options_class = _FaultOptions
+
+        def run(self, init_config, budget, *, deadline=None):
+            fault()
+
+    FaultSearcher.strategy = strategy
+    return register_searcher(FaultSearcher)
+
+
+def _raise():
+    raise RuntimeError("kaboom")
+
+
+def _die():
+    os._exit(3)
+
+
+def _hang():
+    time.sleep(30)
+
+
+@pytest.fixture()
+def fault_lanes():
+    """Test strategies that raise, kill their worker, or hang."""
+    faults = {
+        "raising-test": _raise,
+        "dying-test": _die,
+        "hanging-test": _hang,
+    }
+    for strategy, fault in faults.items():
+        _fault_searcher(strategy, fault)
+    yield
+    for strategy in faults:
+        unregister_searcher(strategy)
+
+
+class TestArenaPool:
+    """Lanes raced on the worker pool (``workers > 1``)."""
+
+    def test_raising_lane_fails_and_the_rest_report(
+        self, tiny_graph, small_cluster, tiny_database, fault_lanes
+    ):
+        result = race(
+            tiny_graph, small_cluster, tiny_database, workers=2,
+            entries=[
+                ArenaEntry(strategy="raising-test"),
+                ArenaEntry(strategy="greedy"),
+                ArenaEntry(strategy="mcmc"),
+            ],
+        )
+        raised, greedy, mcmc = result.outcomes
+        assert raised.failed
+        assert raised.error == "RuntimeError: kaboom"
+        assert not greedy.failed and not mcmc.failed
+        assert result.winner.strategy in {"greedy", "mcmc"}
+
+    def test_dead_worker_fails_its_lane(
+        self, tiny_graph, small_cluster, tiny_database, fault_lanes
+    ):
+        result = race(
+            tiny_graph, small_cluster, tiny_database, workers=2,
+            entries=[
+                ArenaEntry(strategy="dying-test"),
+                ArenaEntry(strategy="greedy"),
+            ],
+        )
+        died, greedy = result.outcomes
+        assert died.error == "worker process died with exit code 3"
+        assert not greedy.failed
+
+    def test_hung_lane_is_reaped_past_the_deadline(
+        self, tiny_graph, small_cluster, tiny_database, fault_lanes
+    ):
+        started = time.monotonic()
+        result = race(
+            tiny_graph, small_cluster, tiny_database, workers=2,
+            deadline_seconds=0.2,
+            entries=[
+                ArenaEntry(strategy="hanging-test"),
+                ArenaEntry(strategy="greedy"),
+            ],
+        )
+        hung, greedy = result.outcomes
+        assert hung.error == "worker reaped past the per-entry deadline"
+        assert not greedy.failed
+        assert time.monotonic() - started < 10
+
+    def test_pooled_events_carry_worker_and_entry(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        events = []
+        bus = TelemetryBus()
+        bus.add_sink(CallbackSink(events.append))
+        with using_bus(bus):
+            race(tiny_graph, small_cluster, tiny_database, workers=2)
+        begins = [e for e in events if e.name == ARENA_ENTRY_BEGIN]
+        assert [e.attrs["entry"] for e in begins] == [
+            entry.name for entry in ENTRIES
+        ]
+        assert all(e.attrs["worker_pid"] for e in begins)
+        stats = [e for e in events if e.name == SEARCH_STRATEGY_STATS]
+        assert stats
+        entry_names = {entry.name for entry in ENTRIES}
+        assert all(e.attrs["arena_entry"] in entry_names for e in stats)
+        assert {e.attrs["arena_entry"] for e in stats} >= {
+            "mcmc#0", "bandit#0",
+        }
 
 
 class TestArenaEntry:

@@ -711,6 +711,31 @@ class TestHTTP:
         code, body = self.post(server, "/invalidate", {"gpus": "x"})
         assert code == 400
 
+    def test_negative_content_length_is_400(self, server):
+        """A negative length must not read the kept-alive socket to EOF."""
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.server_address[1]), timeout=3
+        ) as sock:
+            sock.sendall(
+                b"POST /invalidate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: -1\r\nConnection: keep-alive\r\n\r\n"
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+
+    def test_invalidate_rejects_bool_and_non_positive_gpus(self, server):
+        request = PlanRequest(model="m", gpus=1)
+        self.post(server, "/plan", request.to_json())
+        for gpus in (True, False, 0, -4):
+            code, body = self.post(server, "/invalidate", {"gpus": gpus})
+            assert code == 400, gpus
+            assert "error" in body
+        code, body = self.post(server, "/invalidate", {"gpus": 1})
+        assert code == 200
+        assert body["dropped"] == 1
+
     def test_keep_alive_hits_do_not_stall(self, server):
         """Cached round trips on one connection never wait on a delayed
         ACK: 20 hits stay far below the 20 x 40 ms a Nagle stall costs."""
